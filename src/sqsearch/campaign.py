@@ -3,12 +3,14 @@ with resume, and the command-line interface.
 
 Exit codes: 0 completed with no quadruple found, 2 completed and at least one
 quadruple found (which would contradict the two-prime conjecture), 1 runtime
-error, 3 invalid arguments.
+error or, for sweep and report, at least one error record and no quadruple,
+3 invalid arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
 import json
 import math
@@ -21,8 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arith import PrimePair, is_prime
-from .diolog import PrecisionPolicy
-from .reduce import DEFAULT_STOP
+from .diolog import DEFAULT_POLICY, PrecisionPolicy
 from .search import (
     PairReport,
     brute_force_oracle,
@@ -117,35 +118,39 @@ def _error_record(p: int, q: int, message: str, ms: int) -> dict:
 
 
 def load_checkpoint(path: Path) -> dict[tuple[int, int], dict]:
-    """Parse a JSONL checkpoint.  A corrupt trailing partial line is cut off
-    with a warning; corruption anywhere else refuses to load."""
+    """Parse a JSONL checkpoint without modifying it.  A torn tail, the bytes
+    after the last newline, is skipped with a warning, because a record
+    counts only once its newline is written; a corrupt line anywhere else
+    refuses to load."""
     records: dict[tuple[int, int], dict] = {}
     if not path.exists():
         return records
-    raw = path.read_bytes()
-    lines = raw.split(b"\n")
-    good_bytes = 0
+    *lines, tail = path.read_bytes().split(b"\n")
+    if tail.strip():
+        print(f"warning: skipping torn trailing line in {path}", file=sys.stderr)
     for i, line in enumerate(lines):
         if not line.strip():
-            good_bytes += len(line) + 1
             continue
         try:
             rec = json.loads(line)
             if not isinstance(rec, dict) or "p" not in rec or "q" not in rec:
                 raise ValueError("missing fields")
-        except (ValueError, json.JSONDecodeError) as exc:
-            if i == len(lines) - 1:
-                print("warning: truncating corrupt trailing checkpoint line",
-                      file=sys.stderr)
-                with open(path, "r+b") as fh:
-                    fh.truncate(good_bytes)
-                return records
+        except ValueError as exc:
             raise CheckpointError(
                 f"corrupt checkpoint line {i + 1} in {path}; "
                 f"use --force-restart to discard") from exc
         records[(rec["p"], rec["q"])] = rec
-        good_bytes += len(line) + 1
     return records
+
+
+def _cut_torn_tail(path: Path) -> None:
+    # Drop the bytes after the last newline, so the next append starts a
+    # fresh line; load_checkpoint has already skipped them.
+    with open(path, "r+b") as fh:
+        raw = fh.read()
+        keep = raw.rfind(b"\n") + 1
+        if keep < len(raw):
+            fh.truncate(keep)
 
 
 # -- sweep --------------------------------------------------------------------
@@ -159,9 +164,7 @@ class SweepSpec:
     skip_33: bool = False
     workers: int = 1
     checkpoint_path: Path | None = None
-    start_bits: int = 128
-    max_bits: int = 16384
-    reduction_stop: Fraction = DEFAULT_STOP
+    policy: PrecisionPolicy = DEFAULT_POLICY
     max_pairs: int | None = None
 
 
@@ -194,13 +197,12 @@ def _pair_list(spec: SweepSpec) -> list[tuple[int, int]]:
     return pairs
 
 
-def _run_pair(task: tuple[int, int, int, int, int, int]) -> dict:
-    p, q, start_bits, max_bits, stop_num, stop_den = task
+def _run_pair(task: tuple[int, int, PrecisionPolicy]) -> dict:
+    p, q, policy = task
     t0 = time.perf_counter()
     try:
-        policy = PrecisionPolicy(start_bits=start_bits, max_bits=max_bits)
         pair = PrimePair.of(p, q)
-        report = search_pair(pair, policy, stop=Fraction(stop_num, stop_den))
+        report = search_pair(pair, policy)
         return record_from_report(report)
     except Exception as exc:  # worker failures isolate to their pair
         ms = int((time.perf_counter() - t0) * 1000)
@@ -209,10 +211,18 @@ def _run_pair(task: tuple[int, int, int, int, int, int]) -> dict:
 
 def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
     """Run the pair list through workers, append one checkpoint record per
-    completion, and resume past already-checkpointed pairs."""
+    completion, and resume past already-checkpointed pairs.  The summary
+    counts only records of this sweep's own pairs."""
     t0 = time.perf_counter()
     pairs = _pair_list(spec)
     summary = SweepSummary(pairs_total=len(pairs))
+
+    def tally(rec: dict) -> None:
+        if rec.get("status") == "error":
+            summary.violations += 1
+        if rec.get("quadruples"):
+            summary.quadruples_found += len(rec["quadruples"])
+            summary.notable.append((rec["p"], rec["q"]))
 
     done: dict[tuple[int, int], dict] = {}
     ckpt_file = None
@@ -222,28 +232,22 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
             path.unlink()
         done = load_checkpoint(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        if path.exists():
+            _cut_torn_tail(path)
         ckpt_file = open(path, "a", encoding="utf-8")
 
-    pending = [pq for pq in pairs if pq not in done]
+    pending = []
+    for pq in pairs:
+        if pq in done:
+            tally(done[pq])
+        else:
+            pending.append(pq)
     summary.pairs_skipped = len(pairs) - len(pending)
-    for rec in done.values():
-        if rec.get("quadruples"):
-            summary.quadruples_found += len(rec["quadruples"])
-            summary.notable.append((rec["p"], rec["q"]))
-        if rec.get("status") == "error":
-            summary.violations += 1
-
-    tasks = [(p, q, spec.start_bits, spec.max_bits,
-              spec.reduction_stop.numerator, spec.reduction_stop.denominator)
-             for (p, q) in pending]
+    tasks = [(p, q, spec.policy) for (p, q) in pending]
 
     def consume(rec: dict) -> None:
         summary.pairs_processed += 1
-        if rec.get("status") == "error":
-            summary.violations += 1
-        if rec.get("quadruples"):
-            summary.quadruples_found += len(rec["quadruples"])
-            summary.notable.append((rec["p"], rec["q"]))
+        tally(rec)
         if ckpt_file is not None:
             ckpt_file.write(json.dumps(rec, sort_keys=True) + "\n")
             ckpt_file.flush()
@@ -273,10 +277,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _policy_from_env() -> tuple[int, int]:
-    start = int(os.environ.get("SQS_START_BITS", "128"))
-    cap = int(os.environ.get("SQS_MAX_BITS", "16384"))
-    return start, cap
+def _policy_from_env() -> PrecisionPolicy:
+    return PrecisionPolicy(start_bits=int(os.environ.get("SQS_START_BITS", "128")),
+                           max_bits=int(os.environ.get("SQS_MAX_BITS", "16384")))
 
 
 def _print_report(report: PairReport) -> None:
@@ -310,9 +313,7 @@ def _report_json(report: PairReport) -> dict:
          "delta_exact": f"{s.delta.numerator}/{s.delta.denominator}"}
         for s in report.trace.steps
     ]
-    rec["box"] = {"a12_cap": report.box.a12_cap, "b12_cap": report.box.b12_cap,
-                  "a_cap": report.box.a_cap, "b_cap": report.box.b_cap,
-                  "a4_cap": report.box.a4_cap, "b4_cap": report.box.b4_cap}
+    rec["box"] = dataclasses.asdict(report.box)
     return rec
 
 
@@ -324,9 +325,7 @@ def _cmd_pair(args) -> int:
     if args.p == args.q:
         print("error: p and q must be distinct", file=sys.stderr)
         return EXIT_USAGE
-    start, cap = _policy_from_env()
-    policy = PrecisionPolicy(start_bits=start, max_bits=cap)
-    report = search_pair(PrimePair.of(args.p, args.q), policy)
+    report = search_pair(PrimePair.of(args.p, args.q), _policy_from_env())
     _print_report(report)
     if args.json:
         Path(args.json).write_text(json.dumps(_report_json(report), indent=2) + "\n",
@@ -334,18 +333,24 @@ def _cmd_pair(args) -> int:
     return EXIT_NOTABLE if report.notable else EXIT_OK
 
 
+def _exit_code(quadruples: int, errors: int) -> int:
+    # A found quadruple outranks errors; errors are never reported as success.
+    if quadruples:
+        return EXIT_NOTABLE
+    return EXIT_ERROR if errors else EXIT_OK
+
+
 def _cmd_sweep(args) -> int:
     if not is_prime(args.p) and not args.all_pairs:
         print(f"error: {args.p} is not prime", file=sys.stderr)
         return EXIT_USAGE
-    start, cap = _policy_from_env()
     spec = SweepSpec(
         mode="all-pairs" if args.all_pairs else "fixed-p",
         p_fixed=None if args.all_pairs else args.p,
         q_min=args.q_min, q_max=args.q_max,
         skip_33=args.skip_33, workers=args.workers,
         checkpoint_path=Path(args.checkpoint) if args.checkpoint else None,
-        start_bits=start, max_bits=cap,
+        policy=_policy_from_env(),
         max_pairs=args.max,
     )
     summary = sweep(spec, force_restart=args.force_restart)
@@ -357,7 +362,7 @@ def _cmd_sweep(args) -> int:
     print(f"wall time        : {summary.wall_ms} ms")
     for (p, q) in summary.notable:
         print(f"NOTABLE pair ({p}, {q})")
-    return EXIT_NOTABLE if summary.quadruples_found else EXIT_OK
+    return _exit_code(summary.quadruples_found, summary.violations)
 
 
 def _cmd_oracle(args) -> int:
@@ -422,7 +427,7 @@ def _cmd_report(args) -> int:
               f"{len(r.get('triples', [])):>8} {len(r.get('quadruples', [])):>6} "
               f"{r.get('ms', 0):>8}")
     print(json.dumps(agg, sort_keys=True))
-    return EXIT_NOTABLE if quads else EXIT_OK
+    return _exit_code(len(quads), len(errors))
 
 
 def _build_parser() -> _Parser:

@@ -81,9 +81,6 @@ class CertifiedReal:
             return self + (-other)
         return self + (-Fraction(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, CertifiedReal):
             products = (self.lo * other.lo, self.lo * other.hi,
@@ -97,27 +94,12 @@ class CertifiedReal:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, CertifiedReal):
-            if other.lo <= 0 <= other.hi:
-                raise ZeroDivisionError("divisor enclosure contains zero")
-            inv = CertifiedReal(1 / other.hi, 1 / other.lo, other.precision_bits)
-            return self * inv
-        other = Fraction(other)
-        if other == 0:
-            raise ZeroDivisionError
-        return self * (1 / other)
-
     def __rtruediv__(self, other):
         if self.lo <= 0 <= self.hi:
             raise ZeroDivisionError("divisor enclosure contains zero")
         other = Fraction(other)
         inv = CertifiedReal(1 / self.hi, 1 / self.lo, self.precision_bits)
         return inv * other
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
 
 
 # -- integer-only certified logarithm ---------------------------------------
@@ -186,28 +168,24 @@ def _certified_log_cached(n: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, scale), Fraction(hi, scale)
 
 
-def certified_log(n: int, bits: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> CertifiedReal:
+def certified_log(n: int, bits: int) -> CertifiedReal:
     """Enclosure of ln(n) with relative width at most 2^-bits."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if bits < 16:
         raise ValueError("bits must be at least 16")
-    if bits > policy.max_bits:
-        raise PrecisionError(f"{bits} bits exceeds the cap of {policy.max_bits}")
     lo, hi = _certified_log_cached(n, bits)
     out = CertifiedReal(lo, hi, bits)
-    assert out.width <= Fraction(1, 1 << bits) * max(1, out.lo)
+    if out.width > Fraction(1, 1 << bits) * max(1, out.lo):
+        raise ArithmeticError(f"ln({n}) enclosure wider than 2^-{bits}")
     return out
 
 
-def log_of_fraction(x: Fraction, bits: int,
-                    policy: PrecisionPolicy = DEFAULT_POLICY) -> CertifiedReal:
+def log_of_fraction(x: Fraction, bits: int) -> CertifiedReal:
     """Enclosure of ln(x) for a positive rational x, outward rounded."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
-    if bits > policy.max_bits:
-        raise PrecisionError(f"{bits} bits exceeds the cap of {policy.max_bits}")
     w = bits + _GUARD_BITS + max(x.numerator.bit_length(),
                                  x.denominator.bit_length()).bit_length()
     nlo, nhi = _ln_scaled(x.numerator, w)
@@ -233,14 +211,10 @@ class _Ambiguous(Exception):
     pass
 
 
-def _ratio_enclosure(p: int, q: int, bits: int) -> tuple[Fraction, Fraction]:
-    lp = certified_log(p, bits)
-    lq = certified_log(q, bits)
-    return lq.lo / lp.hi, lq.hi / lp.lo
-
-
-def _expand(p: int, q: int, Q_cut: Fraction, P_cut: Fraction, bits: int) -> list[Convergent]:
-    t_lo, t_hi = _ratio_enclosure(p, q, bits)
+def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: Fraction,
+            P_cut: Fraction) -> list[Convergent]:
+    # Expands the enclosure lq / lp of log q / log p.
+    t_lo, t_hi = lq.lo / lp.hi, lq.hi / lp.lo
     out: list[Convergent] = []
     P0, P1 = 1, 0   # P_{k-1}, P_{k-2}
     Q0, Q1 = 0, 1
@@ -262,26 +236,24 @@ def _expand(p: int, q: int, Q_cut: Fraction, P_cut: Fraction, bits: int) -> list
     raise _Ambiguous
 
 
-def cf_convergents(p: int, q: int, Q_cut, P_cut, bits: int | None = None,
+def cf_convergents(p: int, q: int, Q_cut, P_cut,
                    policy: PrecisionPolicy = DEFAULT_POLICY) -> list[Convergent]:
     """All convergents of log q / log p with Q < Q_cut and P < P_cut, plus the
     first convergent violating either cutoff (conservative boundary guard).
 
     Partial quotients are only emitted when the certified enclosure of the
-    ratio pins them down; otherwise precision doubles and the expansion
-    restarts.
+    ratio pins them down; otherwise the expansion restarts at the next rung
+    of the precision ladder.
     """
     Q_cut = Fraction(Q_cut)
     P_cut = Fraction(P_cut)
     if Q_cut <= 0 or P_cut <= 0:
         raise ValueError("cutoffs must be positive")
-    start = bits if bits is not None else policy.start_bits
-    b = max(start, 16)
-    while b <= policy.max_bits:
+    for bits in policy.ladder():
         try:
-            return _expand(p, q, Q_cut, P_cut, b)
+            return _expand(certified_log(p, bits), certified_log(q, bits), Q_cut, P_cut)
         except _Ambiguous:
-            b *= 2
+            continue
     raise PrecisionError(
         f"continued fraction of log {q}/log {p} not resolved within {policy.max_bits} bits")
 
@@ -295,7 +267,6 @@ class GapCertificate:
 
     delta: Fraction
     convergents_checked: tuple[Convergent, ...]
-    B_used: Fraction
     precision_bits: int
 
 
@@ -327,12 +298,12 @@ def linear_form_gap(pair, B, policy: PrecisionPolicy = DEFAULT_POLICY) -> GapCer
     p, q = min(pair.p, pair.q), max(pair.p, pair.q)
     last_error: Exception | None = None
     for bits in policy.ladder():
-        lp = certified_log(p, bits, policy)
-        lq = certified_log(q, bits, policy)
+        lp = certified_log(p, bits)
+        lq = certified_log(q, bits)
         Q_cut = 2 * B / lq.lo
         P_cut = 2 * B / lp.lo
         try:
-            convs = _expand(p, q, Q_cut, P_cut, bits)
+            convs = _expand(lp, lq, Q_cut, P_cut)
             pool = convs[:-1] if len(convs) > 1 else convs
             lows = [_abs_linear_form(c, lp, lq)[0] for c in pool]
         except _Ambiguous as exc:
@@ -343,7 +314,7 @@ def linear_form_gap(pair, B, policy: PrecisionPolicy = DEFAULT_POLICY) -> GapCer
             continue
         delta = min_low * Fraction(999, 1000)
         return GapCertificate(delta=delta, convergents_checked=tuple(pool),
-                              B_used=B, precision_bits=bits)
+                              precision_bits=bits)
     raise PrecisionError(
         f"gap for ({p},{q}) at B={float(B):.6g} not certified within "
         f"{policy.max_bits} bits") from last_error

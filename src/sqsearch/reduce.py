@@ -16,6 +16,7 @@ from .diolog import (
     DEFAULT_POLICY,
     CertifiedReal,
     GapCertificate,
+    PrecisionError,
     PrecisionPolicy,
     certified_log,
     linear_form_gap,
@@ -33,10 +34,9 @@ __all__ = [
 ]
 
 # Relative improvement threshold below which iterating the reduction lemma
-# stops.  0.1 is the knob value quoted for the stop rule; it is applied
-# relative to the current bound so the chain terminates as soon as a step
-# stops making a real dent (see the decisions notes for the trade-off).
-DEFAULT_STOP = Fraction(1, 10)
+# stops.  It is applied relative to the current bound so the chain
+# terminates as soon as a step stops making a real dent.
+STOP_RATIO = Fraction(1, 10)
 
 _BISECTION_REL = 1000  # initial-bound bisection to relative width 1/1000
 
@@ -75,32 +75,29 @@ class ExponentBox:
     b12_cap: int
     a_cap: int
     b_cap: int
-    a4_cap: int
-    b4_cap: int
 
 
-def _log_product(pair: PrimePair, bits: int, policy: PrecisionPolicy) -> CertifiedReal:
-    return certified_log(pair.p, bits, policy) * certified_log(pair.q, bits, policy)
+def _log_product(pair: PrimePair, bits: int) -> CertifiedReal:
+    return certified_log(pair.p, bits) * certified_log(pair.q, bits)
 
 
-def _log_of_enclosure(x: CertifiedReal, bits: int,
-                      policy: PrecisionPolicy) -> CertifiedReal:
+def _log_of_enclosure(x: CertifiedReal, bits: int) -> CertifiedReal:
     # ln of an interval of positive rationals, outward rounded.
     if x.lo <= 0:
         raise ValueError("enclosure must be positive")
-    lo = log_of_fraction(x.lo, bits, policy).lo
-    hi = log_of_fraction(x.hi, bits, policy).hi
+    lo = log_of_fraction(x.lo, bits).lo
+    hi = log_of_fraction(x.hi, bits).hi
     return CertifiedReal(lo, hi, bits)
 
 
-def _f_upper(x: int, pair: PrimePair, bits: int, policy: PrecisionPolicy) -> Fraction:
+def _f_upper(x: int, pair: PrimePair, bits: int) -> Fraction:
     # Upper endpoint of the Baker-type majorant evaluated at log d = x.
-    lpq = _log_product(pair, bits, policy)
-    lx = log_of_fraction(Fraction(x), bits, policy)
+    lpq = _log_product(pair, bits)
+    lx = log_of_fraction(Fraction(x), bits)
     c = Fraction(136, 100) * 10 ** 23 * lpq * lpq * lpq
     t1 = lx + Fraction(163, 100)
     t2 = lx + Fraction(271, 100)
-    t3 = lx + Fraction(208, 100) - _log_of_enclosure(lpq, bits, policy)
+    t3 = lx + Fraction(208, 100) - _log_of_enclosure(lpq, bits)
     f = c * t1 * t2 * (t3 * t3)
     return f.hi
 
@@ -114,31 +111,32 @@ def initial_bound(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY) -> 
     proves F(x) < x.
     """
     bits = max(policy.start_bits, 128)
+    if bits > policy.max_bits:
+        raise PrecisionError(f"{bits} bits exceeds the cap of {policy.max_bits}")
     lo, hi = 4, 16
-    while not _f_upper(hi, pair, bits, policy) < hi:
+    while not _f_upper(hi, pair, bits) < hi:
         lo = hi
         hi *= 2
         if hi > 1 << 4096:
             raise ArithmeticError("no crossing found; inputs out of range")
     while hi - lo > max(1, hi // _BISECTION_REL):
         mid = (lo + hi) // 2
-        if _f_upper(mid, pair, bits, policy) < mid:
+        if _f_upper(mid, pair, bits) < mid:
             hi = mid
         else:
             lo = mid
     return Fraction(hi)
 
 
-def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate,
-           policy: PrecisionPolicy) -> tuple[Fraction, Fraction]:
+def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction, Fraction]:
     bits = cert.precision_bits
-    lp = certified_log(pair.p, bits, policy)
-    lq = certified_log(pair.q, bits, policy)
+    lp = certified_log(pair.p, bits)
+    lq = certified_log(pair.q, bits)
     lpq = lp * lq
-    b1_gap = log_of_fraction(2 / cert.delta, bits, policy).hi
-    b1_size = _log_of_enclosure(8 * B / lpq, bits, policy).hi
+    b1_gap = log_of_fraction(2 / cert.delta, bits).hi
+    b1_size = _log_of_enclosure(8 * B / lpq, bits).hi
     B1 = max(b1_gap, b1_size)
-    tail = _log_of_enclosure(2 * B1 * B1 / lpq, bits, policy).hi
+    tail = _log_of_enclosure(2 * B1 * B1 / lpq, bits).hi
     B2 = 2 * B1 + pair.u_q * lq.hi + pair.u_p * lp.hi + tail
     return B1, B2
 
@@ -149,46 +147,42 @@ def reduce_once(pair: PrimePair, B, policy: PrecisionPolicy = DEFAULT_POLICY) ->
     if B < 1:
         raise ValueError("B must be at least 1")
     cert = linear_form_gap(pair, B, policy)
-    B1, B2 = _b1_b2(pair, B, cert, policy)
+    B1, B2 = _b1_b2(pair, B, cert)
     return ReductionStep(B_in=B, delta=cert.delta, B1=B1, B2=B2)
 
 
-def reduce_full(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY,
-                stop: Fraction = DEFAULT_STOP) -> ReductionTrace:
+def reduce_full(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY) -> ReductionTrace:
     """Iterate reduce_once from the initial bound until the relative
-    improvement drops below `stop` or a step fails to improve."""
+    improvement drops below STOP_RATIO or a step fails to improve."""
     B0 = initial_bound(pair, policy)
     steps: list[ReductionStep] = []
     B = B0
     for _ in range(64):
         step = reduce_once(pair, B, policy)
         steps.append(step)
-        if step.improvement <= 0 or step.improvement < stop * B:
+        if step.improvement <= 0 or step.improvement < STOP_RATIO * B:
             break
         B = step.B2
     final = min([B0] + [s.B2 for s in steps])
     final_cert = linear_form_gap(pair, final, policy)
-    final_B1, _ = _b1_b2(pair, final, final_cert, policy)
+    final_B1, _ = _b1_b2(pair, final, final_cert)
     return ReductionTrace(pair=pair, B0=B0, steps=tuple(steps),
                           final_bound=final, final_B1=final_B1,
                           precision_bits=final_cert.precision_bits)
 
 
-def exponent_box(trace: ReductionTrace, bits: int | None = None,
-                 policy: PrecisionPolicy = DEFAULT_POLICY) -> ExponentBox:
+def exponent_box(trace: ReductionTrace) -> ExponentBox:
     """Integer caps on the exponents, rounded so they are never too small.
 
-    Upper bounds divide by the certified lower endpoints of log p, log q, so
-    recomputing at higher precision can only shrink the caps.
+    Upper bounds divide by the certified lower endpoints of log p, log q at
+    the trace's precision, so recomputing at higher precision can only
+    shrink the caps.
     """
-    b = bits if bits is not None else trace.precision_bits
-    lp_lo = certified_log(trace.pair.p, b, policy).lo
-    lq_lo = certified_log(trace.pair.q, b, policy).lo
+    lp_lo = certified_log(trace.pair.p, trace.precision_bits).lo
+    lq_lo = certified_log(trace.pair.q, trace.precision_bits).lo
     return ExponentBox(
         a12_cap=math.floor(trace.final_B1 / lp_lo),
         b12_cap=math.floor(trace.final_B1 / lq_lo),
         a_cap=math.floor(trace.final_bound / lp_lo),
         b_cap=math.floor(trace.final_bound / lq_lo),
-        a4_cap=math.floor(2 * trace.final_B1 / lp_lo),
-        b4_cap=math.floor(2 * trace.final_B1 / lq_lo),
     )

@@ -165,8 +165,13 @@ def enumerate_candidate_pairs(box: ExponentBox, pair: PrimePair) -> Iterator[tup
                 yield s1, s2
 
 
-def _divisor_scan(s1: SUnit, s2: SUnit, box: ExponentBox,
-                  pair: PrimePair) -> tuple[list[Triple], int]:
+def triples_from_pair(s1: SUnit, s2: SUnit, box: ExponentBox,
+                      pair: PrimePair) -> tuple[list[Triple], int]:
+    """Triples (a, b, c) recovered from one candidate pair via the common
+    divisors of s1-1 and s2-1, with bc+1 checked against the a/b caps.
+    Returns the triples and the number of common divisors tried."""
+    if not s1.value < s2.value:
+        raise ValueError("s1 must be smaller than s2")
     # Common divisors a of s1-1 and s2-1 with a^2 < s1-1 are exactly the
     # admissible smallest elements; b and c divide out exactly.  s1-1 stays
     # desk-scale small (below e^B1 times rounding), so a direct scan to
@@ -186,18 +191,11 @@ def _divisor_scan(s1: SUnit, s2: SUnit, box: ExponentBox,
     return triples, candidates
 
 
-def triples_from_pair(s1: SUnit, s2: SUnit, box: ExponentBox,
-                      pair: PrimePair) -> list[Triple]:
-    """Triples (a, b, c) recovered from one candidate pair via the common
-    divisors of s1-1 and s2-1, with bc+1 checked against the a/b caps."""
-    if not s1.value < s2.value:
-        raise ValueError("s1 must be smaller than s2")
-    triples, _ = _divisor_scan(s1, s2, box, pair)
-    return triples
-
-
-def _extension_scan(t: Triple, box: ExponentBox,
-                    pair: PrimePair) -> tuple[list[QuadrupleWitness], int]:
+def extend_to_quadruples(t: Triple, box: ExponentBox,
+                         pair: PrimePair) -> tuple[list[QuadrupleWitness], int]:
+    """Quadruples extending t through d = (p^a6 q^b6 - 1)/c inside the box.
+    Returns the quadruples and the number of exponent pairs (a6, b6) for
+    which c divides p^a6 q^b6 - 1."""
     if not t.extendable:
         return [], 0
     found: list[QuadrupleWitness] = []
@@ -228,24 +226,13 @@ def _extension_scan(t: Triple, box: ExponentBox,
     return found, candidates
 
 
-def extend_to_quadruples(t: Triple, box: ExponentBox,
-                         pair: PrimePair) -> list[QuadrupleWitness]:
-    """Quadruples extending t through d = (p^a6 q^b6 - 1)/c inside the box."""
-    found, _ = _extension_scan(t, box, pair)
-    return found
-
-
 def search_pair(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY,
-                limits: SearchLimits = DEFAULT_LIMITS,
-                stop=None) -> PairReport:
+                limits: SearchLimits = DEFAULT_LIMITS) -> PairReport:
     """Full pipeline for one prime pair: reduce, box, enumerate, extend,
     re-verify.  Reported quadruples have been re-checked from scratch."""
     t0 = time.perf_counter()
-    if stop is None:
-        trace = reduce_full(pair, policy)
-    else:
-        trace = reduce_full(pair, policy, stop)
-    box = exponent_box(trace, policy=policy)
+    trace = reduce_full(pair, policy)
+    box = exponent_box(trace)
     volume = ((box.a12_cap + 1) * (box.b12_cap + 1)
               * (box.a_cap + 1) * (box.b_cap + 1))
     if volume > limits.max_box_volume:
@@ -257,7 +244,7 @@ def search_pair(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY,
     triples: list[Triple] = []
     for s1, s2 in enumerate_candidate_pairs(box, pair):
         pair_count += 1
-        found, cand = _divisor_scan(s1, s2, box, pair)
+        found, cand = triples_from_pair(s1, s2, box, pair)
         triple_candidates += cand
         triples.extend(found)
     triples.sort(key=lambda t: (t.a, t.b, t.c))
@@ -265,7 +252,7 @@ def search_pair(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY,
     quad_candidates = 0
     quadruples: list[QuadrupleWitness] = []
     for t in triples:
-        found, cand = _extension_scan(t, box, pair)
+        found, cand = extend_to_quadruples(t, box, pair)
         quad_candidates += cand
         quadruples.extend(found)
     quadruples.sort(key=lambda w: (w.a, w.b, w.c, w.d))

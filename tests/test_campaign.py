@@ -8,6 +8,7 @@ from sqsearch.campaign import (
     CheckpointError,
     SweepSpec,
     _dec15,
+    _error_record,
     load_checkpoint,
     main,
     primes_in_range,
@@ -123,7 +124,34 @@ def test_checkpoint_truncated_trailing_line(tmp_path):
     ck.write_text(good + "\n" + '{"v": 1, "p": 2, "q": 5, "stat', encoding="utf-8")
     recs = load_checkpoint(ck)
     assert list(recs) == [(2, 3)]
-    assert ck.read_text().count("\n") == 1  # bad tail physically removed
+    summary = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=3,
+                              workers=1, checkpoint_path=ck))
+    assert summary.pairs_skipped == 1 and summary.pairs_processed == 0
+    assert ck.read_text() == good + "\n"  # bad tail physically removed
+
+
+def test_report_leaves_checkpoint_byte_identical(tmp_path, capsys):
+    ck = tmp_path / "live.jsonl"
+    good = json.dumps({"v": 1, "p": 2, "q": 3, "status": "done", "triples": []})
+    ck.write_text(good + "\n" + '{"v": 1, "p": 2, "q": 5, "stat', encoding="utf-8")
+    raw = ck.read_bytes()
+    assert main(["report", "--checkpoint", str(ck)]) == 0
+    assert '"pairs": 1' in capsys.readouterr().out
+    assert ck.read_bytes() == raw
+
+
+def test_sweep_resume_after_unterminated_final_record(tmp_path):
+    full = tmp_path / "full.jsonl"
+    broken = tmp_path / "broken.jsonl"
+    base = dict(mode="fixed-p", p_fixed=2, q_min=3, q_max=30, workers=1)
+    total = sweep(SweepSpec(**base, checkpoint_path=full)).pairs_total
+    sweep(SweepSpec(**base, checkpoint_path=broken, max_pairs=5))
+    broken.write_bytes(broken.read_bytes().rstrip(b"\n"))  # killed before the newline
+    resumed = sweep(SweepSpec(**base, checkpoint_path=broken))
+    assert resumed.pairs_skipped == 4
+    assert resumed.pairs_processed == total - 4
+    assert len(broken.read_text().splitlines()) == total
+    assert records_sans_ms(full) == records_sans_ms(broken)
 
 
 def test_checkpoint_corrupt_middle_line_refuses(tmp_path):
@@ -176,12 +204,39 @@ def test_cli_sweep_and_report(tmp_path, capsys):
     assert '"pairs": 7' in out
 
 
+def test_cli_exit_1_on_error_record(tmp_path, capsys):
+    ck = tmp_path / "planted.jsonl"
+    ck.write_text(json.dumps(_error_record(2, 5, "PrecisionError: planted", 0)) + "\n",
+                  encoding="utf-8")
+    assert main(["sweep", "--p", "2", "--q-min", "3", "--q-max", "7",
+                 "--checkpoint", str(ck)]) == 1
+    assert main(["report", "--checkpoint", str(ck)]) == 1
+    # A found quadruple still outranks the error.
+    quad = {"v": 1, "p": 2, "q": 11, "status": "done", "triples": [],
+            "quadruples": [[1, 3, 8, 120]]}
+    with open(ck, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(quad) + "\n")
+    assert main(["report", "--checkpoint", str(ck)]) == 2
+
+
+def test_sweep_summary_counts_only_own_pairs(tmp_path, capsys):
+    ck = tmp_path / "foreign.jsonl"
+    ck.write_text(json.dumps(_error_record(2, 97, "PrecisionError: planted", 0)) + "\n",
+                  encoding="utf-8")
+    summary = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=7,
+                              workers=1, checkpoint_path=ck))
+    assert summary.violations == 0 and summary.pairs_processed == 3
+    assert main(["sweep", "--p", "2", "--q-min", "3", "--q-max", "7",
+                 "--checkpoint", str(ck)]) == 0
+
+
 def test_cli_pair_json_report(tmp_path):
     out = tmp_path / "pair.json"
     assert main(["pair", "--p", "2", "--q", "3", "--json", str(out)]) == 0
     rec = json.loads(out.read_text())
     assert rec["p"] == 2 and rec["q"] == 3
     assert rec["box"]["a12_cap"] <= 9
+    assert set(rec["box"]) == {"a12_cap", "b12_cap", "a_cap", "b_cap"}
     assert all("delta_exact" in s for s in rec["steps"])
     num, den = rec["steps"][-1]["delta_exact"].split("/")
     assert int(num) > 0 and int(den) > 0

@@ -60,8 +60,6 @@ def test_certified_log_input_validation():
         certified_log(1, 64)
     with pytest.raises(ValueError):
         certified_log(5, 8)
-    with pytest.raises(PrecisionError):
-        certified_log(5, 64, PrecisionPolicy(start_bits=16, max_bits=32))
 
 
 def test_cf_convergents_23_hand_expansion():
@@ -200,5 +198,16 @@ def test_linear_form_gap_precision_exhaustion():
 
 def test_cf_convergents_explicit_bits_consistent():
     a = cf_convergents(2, 3, Q_cut=10 ** 9, P_cut=10 ** 9)
-    b = cf_convergents(2, 3, Q_cut=10 ** 9, P_cut=10 ** 9, bits=512)
+    b = cf_convergents(2, 3, Q_cut=10 ** 9, P_cut=10 ** 9,
+                       policy=PrecisionPolicy(start_bits=512))
     assert a == b
+
+
+def test_cf_convergents_escalates_through_ladder():
+    # 16 bits cannot resolve the partial quotients out to Q ~ 10^12, so the
+    # expansion only succeeds by climbing the ladder.
+    cut = dict(Q_cut=10 ** 12, P_cut=10 ** 12)
+    with pytest.raises(PrecisionError):
+        cf_convergents(2, 3, **cut, policy=PrecisionPolicy(start_bits=16, max_bits=16))
+    low = cf_convergents(2, 3, **cut, policy=PrecisionPolicy(start_bits=16))
+    assert low == cf_convergents(2, 3, **cut)

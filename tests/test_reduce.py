@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from sqsearch.arith import PrimePair
-from sqsearch.diolog import PrecisionPolicy
+from sqsearch.diolog import PrecisionError, PrecisionPolicy
 from sqsearch.reduce import (
     exponent_box,
     initial_bound,
@@ -136,13 +137,12 @@ def test_exponent_box_23_caps():
     assert box.a_cap >= 8 and box.b_cap >= 6
     assert box.a12_cap <= box.a_cap and box.b12_cap <= box.b_cap
     assert (box.a12_cap + 1) * (box.b12_cap + 1) <= 70
-    assert box.a4_cap >= box.a12_cap and box.b4_cap >= box.b12_cap
 
 
 def test_exponent_box_rounding_direction():
     trace = reduce_full(PAIR_23)
-    coarse = exponent_box(trace, bits=128)
-    fine = exponent_box(trace, bits=256)
+    coarse = exponent_box(dataclasses.replace(trace, precision_bits=128))
+    fine = exponent_box(dataclasses.replace(trace, precision_bits=256))
     assert fine.a12_cap <= coarse.a12_cap
     assert fine.b12_cap <= coarse.b12_cap
     assert fine.a_cap <= coarse.a_cap
@@ -153,3 +153,9 @@ def test_reduce_full_respects_custom_policy():
     policy = PrecisionPolicy(start_bits=256, max_bits=16384)
     trace = reduce_full(PAIR_23, policy)
     assert Fraction(17) <= trace.final_bound <= Fraction(22)
+
+
+def test_reduce_full_precision_cap_below_initial_bound_floor():
+    # initial_bound works at a fixed floor of 128 bits, above this cap.
+    with pytest.raises(PrecisionError):
+        reduce_full(PAIR_23, PrecisionPolicy(start_bits=32, max_bits=64))

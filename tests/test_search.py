@@ -23,8 +23,7 @@ GROUND_TRUTH_23 = [(1, 3, 5), (1, 5, 7), (1, 7, 23), (1, 15, 17), (1, 31, 47)]
 
 
 def box(a12, b12, a, b):
-    return ExponentBox(a12_cap=a12, b12_cap=b12, a_cap=a, b_cap=b,
-                       a4_cap=2 * a12, b4_cap=2 * b12)
+    return ExponentBox(a12_cap=a12, b12_cap=b12, a_cap=a, b_cap=b)
 
 
 def su(pair, n):
@@ -58,19 +57,20 @@ def test_enumerate_ordering_and_volume():
 
 def test_triples_from_pair_examples():
     b = box(9, 6, 29, 18)
-    got = triples_from_pair(su(PAIR_23, 4), su(PAIR_23, 6), b, PAIR_23)
+    got, tried = triples_from_pair(su(PAIR_23, 4), su(PAIR_23, 6), b, PAIR_23)
     assert [(t.a, t.b, t.c) for t in got] == [(1, 3, 5)]
+    assert tried == 1
     assert got[0].s4 == SUnit(16, 4, 0)
 
-    got = triples_from_pair(su(PAIR_23, 6), su(PAIR_23, 8), b, PAIR_23)
+    got, _ = triples_from_pair(su(PAIR_23, 6), su(PAIR_23, 8), b, PAIR_23)
     assert [(t.a, t.b, t.c) for t in got] == [(1, 5, 7)]
     assert got[0].s4 == SUnit(36, 2, 2)
 
     # 10 is only an S-unit over {2, 5}; a = 1 gives (1, 3, 9) whose bc+1 = 28
     # is no S-unit, and a = 3 fails a*a < 3.
     pair25 = PrimePair.of(2, 5)
-    got = triples_from_pair(su(pair25, 4), su(pair25, 10), b, pair25)
-    assert got == []
+    got, tried = triples_from_pair(su(pair25, 4), su(pair25, 10), b, pair25)
+    assert got == [] and tried == 1
 
 
 def test_triples_from_pair_rejects_disorder():
@@ -81,22 +81,22 @@ def test_triples_from_pair_rejects_disorder():
 def test_extend_ground_truth_triples_fail():
     b = box(9, 6, 29, 18)
     for (a, bb, c) in GROUND_TRUTH_23:
-        t = triples_from_pair(su(PAIR_23, a * bb + 1), su(PAIR_23, a * c + 1), b, PAIR_23)[0]
-        assert extend_to_quadruples(t, b, PAIR_23) == []
+        t = triples_from_pair(su(PAIR_23, a * bb + 1), su(PAIR_23, a * c + 1), b, PAIR_23)[0][0]
+        assert extend_to_quadruples(t, b, PAIR_23)[0] == []
 
 
 def test_extend_empty_box_is_empty():
-    t = triples_from_pair(su(PAIR_23, 4), su(PAIR_23, 6), box(9, 6, 29, 18), PAIR_23)[0]
-    assert extend_to_quadruples(t, box(0, 0, 0, 0), PAIR_23) == []
+    t = triples_from_pair(su(PAIR_23, 4), su(PAIR_23, 6), box(9, 6, 29, 18), PAIR_23)[0][0]
+    assert extend_to_quadruples(t, box(0, 0, 0, 0), PAIR_23) == ([], 0)
 
 
 def test_extend_skips_non_extendable_triples():
     # (1, 2, 4) over {3, 5} has ab < 3, so it never reaches extension.
     b = box(9, 6, 29, 18)
-    t = triples_from_pair(su(PAIR_35, 3), su(PAIR_35, 5), b, PAIR_35)[0]
+    t = triples_from_pair(su(PAIR_35, 3), su(PAIR_35, 5), b, PAIR_35)[0][0]
     assert (t.a, t.b, t.c) == (1, 2, 4)
     assert not t.extendable
-    assert extend_to_quadruples(t, b, PAIR_35) == []
+    assert extend_to_quadruples(t, b, PAIR_35) == ([], 0)
 
 
 def test_two_smallest_equal_checker():
@@ -172,7 +172,7 @@ def test_divisor_recovery_complete_for_oracle_triples():
     for (a, bb, c) in brute_force_oracle(PAIR_23, 50, 3):
         s1 = su(PAIR_23, a * bb + 1)
         s2 = su(PAIR_23, a * c + 1)
-        got = triples_from_pair(s1, s2, b, PAIR_23)
+        got, _ = triples_from_pair(s1, s2, b, PAIR_23)
         assert (a, bb, c) in [(t.a, t.b, t.c) for t in got]
 
 
