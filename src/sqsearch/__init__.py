@@ -14,7 +14,6 @@ from .reduce import ExponentBox, ReductionStep, ReductionTrace, exponent_box, \
 from .search import PairReport, QuadrupleWitness, Triple, brute_force_oracle, \
     enumerate_candidate_pairs, extend_to_quadruples, lemma_predicates, \
     search_pair, triples_from_pair
-from .campaign import SweepSpec, SweepSummary, main, primes_in_range, sweep
 
 __version__ = "0.1.0"
 
@@ -28,6 +27,5 @@ __all__ = [
     "PairReport", "QuadrupleWitness", "Triple", "brute_force_oracle",
     "enumerate_candidate_pairs", "extend_to_quadruples", "lemma_predicates",
     "search_pair", "triples_from_pair",
-    "SweepSpec", "SweepSummary", "main", "primes_in_range", "sweep",
     "__version__",
 ]

@@ -277,9 +277,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _UsageError(Exception):
+    """Invalid input found after argument parsing; main exits with EXIT_USAGE."""
+
+
 def _policy_from_env() -> PrecisionPolicy:
-    return PrecisionPolicy(start_bits=int(os.environ.get("SQS_START_BITS", "128")),
-                           max_bits=int(os.environ.get("SQS_MAX_BITS", "16384")))
+    try:
+        return PrecisionPolicy(start_bits=int(os.environ.get("SQS_START_BITS", "128")),
+                               max_bits=int(os.environ.get("SQS_MAX_BITS", "16384")))
+    except ValueError as exc:
+        raise _UsageError(f"SQS_START_BITS/SQS_MAX_BITS: {exc}") from exc
 
 
 def _print_report(report: PairReport) -> None:
@@ -320,11 +327,9 @@ def _report_json(report: PairReport) -> dict:
 def _cmd_pair(args) -> int:
     for r in (args.p, args.q):
         if not is_prime(r):
-            print(f"error: {r} is not prime", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"{r} is not prime")
     if args.p == args.q:
-        print("error: p and q must be distinct", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("p and q must be distinct")
     report = search_pair(PrimePair.of(args.p, args.q), _policy_from_env())
     _print_report(report)
     if args.json:
@@ -342,8 +347,7 @@ def _exit_code(quadruples: int, errors: int) -> int:
 
 def _cmd_sweep(args) -> int:
     if not is_prime(args.p) and not args.all_pairs:
-        print(f"error: {args.p} is not prime", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"{args.p} is not prime")
     spec = SweepSpec(
         mode="all-pairs" if args.all_pairs else "fixed-p",
         p_fixed=None if args.all_pairs else args.p,
@@ -368,8 +372,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     for r in (args.p, args.q):
         if not is_prime(r):
-            print(f"error: {r} is not prime", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"{r} is not prime")
     pair = PrimePair.of(args.p, args.q)
     tuples = brute_force_oracle(pair, args.max, args.arity)
     for t in tuples:
@@ -489,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,14 +1,14 @@
 """Certified logarithms, continued fractions of log q / log p, and linear-form gaps.
 
-All enclosures are pairs of exact rationals, so every comparison made against
-them is exact and the whole module is deterministic bit for bit.  Logarithms
-are produced by an integer-only atanh series with directed rounding; nothing
-here touches floating point.
+An enclosure is a pair of integer mantissas at one binary scale 2^-w, and
+every operation on it rounds outward with floor and ceiling, so each
+comparison made against it is exact and the whole module is deterministic
+bit for bit.  Logarithms are produced by an integer-only atanh series with
+directed rounding; nothing here touches floating point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +26,11 @@ __all__ = [
     "linear_form_gap",
 ]
 
+_MIN_BITS = 16
+# Extra bits of every working scale: an enclosure made at precision `bits`
+# has w = bits + _GUARD_BITS, so operands from one rung share a scale.
+_GUARD_BITS = 32
+
 
 class PrecisionError(Exception):
     """Raised when the hard precision cap is exhausted."""
@@ -37,6 +42,12 @@ class PrecisionPolicy:
 
     start_bits: int = 128
     max_bits: int = 16384
+
+    def __post_init__(self):
+        if self.start_bits < _MIN_BITS:
+            raise ValueError(f"start_bits must be at least {_MIN_BITS}")
+        if self.max_bits < self.start_bits:
+            raise ValueError("max_bits must be at least start_bits")
 
     def ladder(self):
         bits = self.start_bits
@@ -50,56 +61,64 @@ DEFAULT_POLICY = PrecisionPolicy()
 
 @dataclass(frozen=True)
 class CertifiedReal:
-    """Two-sided rational enclosure lo <= x <= hi of a real number."""
+    """Enclosure m_lo * 2^-w <= x <= m_hi * 2^-w of a real number.  Operands
+    must share the scale w; a rational operand becomes its tightest enclosure
+    at that scale, and products and quotients round outward."""
 
-    lo: Fraction
-    hi: Fraction
-    precision_bits: int
+    m_lo: int
+    m_hi: int
+    w: int
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        if self.m_lo > self.m_hi:
             raise ValueError("empty enclosure")
 
     @property
+    def lo(self) -> Fraction:
+        return Fraction(self.m_lo, 1 << self.w)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.m_hi, 1 << self.w)
+
+    @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.m_hi - self.m_lo, 1 << self.w)
+
+    def _coerce(self, other) -> CertifiedReal:
+        if isinstance(other, CertifiedReal):
+            if other.w != self.w:
+                raise ValueError(f"enclosures at scales 2^-{self.w} and 2^-{other.w}")
+            return other
+        x = Fraction(other)
+        n = x.numerator << self.w
+        return CertifiedReal(n // x.denominator, -(-n // x.denominator), self.w)
 
     def __add__(self, other):
-        if isinstance(other, CertifiedReal):
-            return CertifiedReal(self.lo + other.lo, self.hi + other.hi,
-                                 min(self.precision_bits, other.precision_bits))
-        other = Fraction(other)
-        return CertifiedReal(self.lo + other, self.hi + other, self.precision_bits)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CertifiedReal(-self.hi, -self.lo, self.precision_bits)
+        other = self._coerce(other)
+        return CertifiedReal(self.m_lo + other.m_lo, self.m_hi + other.m_hi, self.w)
 
     def __sub__(self, other):
-        if isinstance(other, CertifiedReal):
-            return self + (-other)
-        return self + (-Fraction(other))
+        other = self._coerce(other)
+        return CertifiedReal(self.m_lo - other.m_hi, self.m_hi - other.m_lo, self.w)
 
     def __mul__(self, other):
-        if isinstance(other, CertifiedReal):
-            products = (self.lo * other.lo, self.lo * other.hi,
-                        self.hi * other.lo, self.hi * other.hi)
-            return CertifiedReal(min(products), max(products),
-                                 min(self.precision_bits, other.precision_bits))
-        other = Fraction(other)
-        if other >= 0:
-            return CertifiedReal(self.lo * other, self.hi * other, self.precision_bits)
-        return CertifiedReal(self.hi * other, self.lo * other, self.precision_bits)
+        other = self._coerce(other)
+        products = (self.m_lo * other.m_lo, self.m_lo * other.m_hi,
+                    self.m_hi * other.m_lo, self.m_hi * other.m_hi)
+        return CertifiedReal(min(products) >> self.w, -(-max(products) >> self.w), self.w)
 
     __rmul__ = __mul__
 
     def __rtruediv__(self, other):
-        if self.lo <= 0 <= self.hi:
+        if self.m_lo <= 0 <= self.m_hi:
             raise ZeroDivisionError("divisor enclosure contains zero")
-        other = Fraction(other)
-        inv = CertifiedReal(1 / self.hi, 1 / self.lo, self.precision_bits)
-        return inv * other
+        x = Fraction(other)
+        # other / (m * 2^-w) at scale w has mantissa num * 2^(2w) / (den * m).
+        n = x.numerator << (2 * self.w)
+        d_lo, d_hi = x.denominator * self.m_lo, x.denominator * self.m_hi
+        return CertifiedReal(min(n // d_lo, n // d_hi),
+                             max(-(-n // d_lo), -(-n // d_hi)), self.w)
 
 
 # -- integer-only certified logarithm ---------------------------------------
@@ -109,9 +128,6 @@ class CertifiedReal:
 # series atanh(x) = sum x^(2k+1)/(2k+1) gains at least three bits per term.
 # Working values are integers scaled by 2^w; the running power of x is kept
 # as a (floor, ceil) pair so each partial sum brackets the truth.
-
-_GUARD_BITS = 32
-_ln2_cache: dict[int, tuple[int, int]] = {}
 
 
 def _atanh_scaled(a: int, b: int, w: int) -> tuple[int, int]:
@@ -138,45 +154,33 @@ def _atanh_scaled(a: int, b: int, w: int) -> tuple[int, int]:
     return s_lo, s_hi + 2
 
 
+@lru_cache
 def _ln2_scaled(w: int) -> tuple[int, int]:
-    if w not in _ln2_cache:
-        lo, hi = _atanh_scaled(1, 3, w)
-        _ln2_cache[w] = (2 * lo, 2 * hi)
-    return _ln2_cache[w]
+    lo, hi = _atanh_scaled(1, 3, w)
+    return 2 * lo, 2 * hi
 
 
 def _ln_scaled(n: int, w: int) -> tuple[int, int]:
     # Enclosure of ln(n) * 2^w for n >= 1.
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return 0, 0
     e = n.bit_length() - 1
     m = 1 << e
     l2_lo, l2_hi = _ln2_scaled(w)
-    if n == m:
-        return e * l2_lo, e * l2_hi
     at_lo, at_hi = _atanh_scaled(n - m, n + m, w)
     return e * l2_lo + 2 * at_lo, e * l2_hi + 2 * at_hi
 
 
 @lru_cache(maxsize=4096)
-def _certified_log_cached(n: int, bits: int) -> tuple[Fraction, Fraction]:
-    w = bits + _GUARD_BITS + max(0, n.bit_length().bit_length())
-    lo, hi = _ln_scaled(n, w)
-    scale = 1 << w
-    return Fraction(lo, scale), Fraction(hi, scale)
-
-
 def certified_log(n: int, bits: int) -> CertifiedReal:
     """Enclosure of ln(n) with relative width at most 2^-bits."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if bits < 16:
-        raise ValueError("bits must be at least 16")
-    lo, hi = _certified_log_cached(n, bits)
-    out = CertifiedReal(lo, hi, bits)
-    if out.width > Fraction(1, 1 << bits) * max(1, out.lo):
+    if bits < _MIN_BITS:
+        raise ValueError(f"bits must be at least {_MIN_BITS}")
+    w = bits + _GUARD_BITS
+    out = CertifiedReal(*_ln_scaled(n, w), w)
+    if (out.m_hi - out.m_lo) << bits > max(1 << w, out.m_lo):
         raise ArithmeticError(f"ln({n}) enclosure wider than 2^-{bits}")
     return out
 
@@ -186,12 +190,10 @@ def log_of_fraction(x: Fraction, bits: int) -> CertifiedReal:
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
-    w = bits + _GUARD_BITS + max(x.numerator.bit_length(),
-                                 x.denominator.bit_length()).bit_length()
+    w = bits + _GUARD_BITS
     nlo, nhi = _ln_scaled(x.numerator, w)
     dlo, dhi = _ln_scaled(x.denominator, w)
-    scale = 1 << w
-    return CertifiedReal(Fraction(nlo - dhi, scale), Fraction(nhi - dlo, scale), bits)
+    return CertifiedReal(nlo - dhi, nhi - dlo, w)
 
 
 # -- continued fraction of log q / log p ------------------------------------
@@ -213,14 +215,15 @@ class _Ambiguous(Exception):
 
 def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: Fraction,
             P_cut: Fraction) -> list[Convergent]:
-    # Expands the enclosure lq / lp of log q / log p.
-    t_lo, t_hi = lq.lo / lp.hi, lq.hi / lp.lo
+    # Expands the enclosure lq / lp of log q / log p (both at one scale).
+    # Each end of the enclosure is kept as an exact ratio n / d of integers.
+    n_lo, d_lo, n_hi, d_hi = lq.m_lo, lp.m_hi, lq.m_hi, lp.m_lo
     out: list[Convergent] = []
     P0, P1 = 1, 0   # P_{k-1}, P_{k-2}
     Q0, Q1 = 0, 1
     for index in range(10000):
-        a = math.floor(t_lo)
-        if math.floor(t_hi) != a:
+        a, r_lo = divmod(n_lo, d_lo)
+        if n_hi // d_hi != a:
             raise _Ambiguous
         P = a * P0 + P1
         Q = a * Q0 + Q1
@@ -229,10 +232,10 @@ def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: Fraction,
             return out
         P1, P0 = P0, P
         Q1, Q0 = Q0, Q
-        u_lo, u_hi = t_lo - a, t_hi - a
-        if u_lo <= 0:
+        if r_lo == 0:
             raise _Ambiguous
-        t_lo, t_hi = 1 / u_hi, 1 / u_lo
+        # The next ends are 1 / (n_hi / d_hi - a) and 1 / (n_lo / d_lo - a).
+        n_lo, d_lo, n_hi, d_hi = d_hi, n_hi - a * d_hi, d_lo, r_lo
     raise _Ambiguous
 
 
@@ -270,13 +273,14 @@ class GapCertificate:
     precision_bits: int
 
 
-def _abs_linear_form(c: Convergent, lp: CertifiedReal, lq: CertifiedReal) -> tuple[Fraction, Fraction]:
-    lo = c.P * lp.lo - c.Q * lq.hi
-    hi = c.P * lp.hi - c.Q * lq.lo
+def _abs_linear_form(c: Convergent, lp: CertifiedReal, lq: CertifiedReal) -> int:
+    # Low end of |P log p - Q log q| as a positive mantissa at the shared scale.
+    lo = c.P * lp.m_lo - c.Q * lq.m_hi
+    hi = c.P * lp.m_hi - c.Q * lq.m_lo
     if lo > 0:
-        return lo, hi
+        return lo
     if hi < 0:
-        return -hi, -lo
+        return -hi
     raise _Ambiguous
 
 
@@ -305,14 +309,11 @@ def linear_form_gap(pair, B, policy: PrecisionPolicy = DEFAULT_POLICY) -> GapCer
         try:
             convs = _expand(lp, lq, Q_cut, P_cut)
             pool = convs[:-1] if len(convs) > 1 else convs
-            lows = [_abs_linear_form(c, lp, lq)[0] for c in pool]
+            min_low = min(_abs_linear_form(c, lp, lq) for c in pool)
         except _Ambiguous as exc:
             last_error = exc
             continue
-        min_low = min(lows)
-        if min_low <= 0:
-            continue
-        delta = min_low * Fraction(999, 1000)
+        delta = Fraction(999 * min_low, 1000 << lp.w)
         return GapCertificate(delta=delta, convergents_checked=tuple(pool),
                               precision_bits=bits)
     raise PrecisionError(

@@ -7,7 +7,6 @@ formula is evaluated with outward rounding toward larger bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,22 +76,17 @@ class ExponentBox:
     b_cap: int
 
 
-def _log_product(pair: PrimePair, bits: int) -> CertifiedReal:
-    return certified_log(pair.p, bits) * certified_log(pair.q, bits)
-
-
 def _log_of_enclosure(x: CertifiedReal, bits: int) -> CertifiedReal:
-    # ln of an interval of positive rationals, outward rounded.
-    if x.lo <= 0:
-        raise ValueError("enclosure must be positive")
-    lo = log_of_fraction(x.lo, bits).lo
-    hi = log_of_fraction(x.hi, bits).hi
-    return CertifiedReal(lo, hi, bits)
+    # ln of an enclosure, outward rounded, at the scale of `bits`;
+    # log_of_fraction rejects a low end <= 0.
+    lo = log_of_fraction(x.lo, bits)
+    hi = log_of_fraction(x.hi, bits)
+    return CertifiedReal(lo.m_lo, hi.m_hi, lo.w)
 
 
 def _f_upper(x: int, pair: PrimePair, bits: int) -> Fraction:
     # Upper endpoint of the Baker-type majorant evaluated at log d = x.
-    lpq = _log_product(pair, bits)
+    lpq = certified_log(pair.p, bits) * certified_log(pair.q, bits)
     lx = log_of_fraction(Fraction(x), bits)
     c = Fraction(136, 100) * 10 ** 23 * lpq * lpq * lpq
     t1 = lx + Fraction(163, 100)
@@ -181,8 +175,8 @@ def exponent_box(trace: ReductionTrace) -> ExponentBox:
     lp_lo = certified_log(trace.pair.p, trace.precision_bits).lo
     lq_lo = certified_log(trace.pair.q, trace.precision_bits).lo
     return ExponentBox(
-        a12_cap=math.floor(trace.final_B1 / lp_lo),
-        b12_cap=math.floor(trace.final_B1 / lq_lo),
-        a_cap=math.floor(trace.final_bound / lp_lo),
-        b_cap=math.floor(trace.final_bound / lq_lo),
+        a12_cap=trace.final_B1 // lp_lo,
+        b12_cap=trace.final_B1 // lq_lo,
+        a_cap=trace.final_bound // lp_lo,
+        b_cap=trace.final_bound // lq_lo,
     )

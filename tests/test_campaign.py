@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -293,3 +296,56 @@ def test_env_precision_overrides(monkeypatch, tmp_path):
     assert main(["pair", "--p", "2", "--q", "3", "--json", str(out)]) == 0
     rec = json.loads(out.read_text())
     assert rec["triples"] == [[1, 3, 5], [1, 5, 7], [1, 7, 23], [1, 15, 17], [1, 31, 47]]
+
+
+@pytest.mark.parametrize("name,value", [
+    ("SQS_START_BITS", "8"),
+    ("SQS_START_BITS", "abc"),
+    ("SQS_MAX_BITS", "64"),
+])
+def test_env_precision_rejected_as_usage_error(monkeypatch, tmp_path, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    ck = tmp_path / "bad_env.jsonl"
+    assert main(["pair", "--p", "2", "--q", "3"]) == 3
+    assert main(["sweep", "--p", "2", "--q-min", "3", "--q-max", "20",
+                 "--checkpoint", str(ck)]) == 3
+    assert not ck.exists()  # refused before any pair ran
+    assert name in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    import sqsearch
+    env = dict(os.environ, PYTHONPATH=str(Path(sqsearch.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sqsearch.campaign", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+# Records of four pairs as the certified pipeline produced them before the
+# enclosure arithmetic moved to scaled integers; any change to a bound's
+# printed digits, a count or a triple fails here.
+PINNED_RECORDS = [
+    {"v": 1, "p": 2, "q": 3, "status": "done", "final_bound": "18.0101083899468",
+     "b1": "5.24283981213476", "pair_count": 703, "triple_candidates": 739,
+     "triples": [[1, 3, 5], [1, 5, 7], [1, 7, 23], [1, 15, 17], [1, 31, 47]],
+     "quad_candidates": 275, "quadruples": []},
+    {"v": 1, "p": 2, "q": 97, "status": "done", "final_bound": "29.5268681944757",
+     "b1": "8.79901283049390", "pair_count": 276, "triple_candidates": 362,
+     "triples": [], "quad_candidates": 0, "quadruples": []},
+    {"v": 1, "p": 3, "q": 5, "status": "done", "final_bound": "14.2824315108282",
+     "b1": "4.27321662455098", "pair_count": 55, "triple_candidates": 94,
+     "triples": [[1, 2, 4], [1, 24, 26]], "quad_candidates": 14, "quadruples": []},
+    {"v": 1, "p": 281, "q": 293, "status": "done", "final_bound": "18.9880293609364",
+     "b1": "3.86857753338910", "pair_count": 0, "triple_candidates": 0,
+     "triples": [], "quad_candidates": 0, "quadruples": []},
+]
+
+
+@pytest.mark.parametrize("expected", PINNED_RECORDS,
+                         ids=lambda r: f"{r['p']}-{r['q']}")
+def test_record_values_pinned(expected):
+    rec = record_from_report(search_pair(PrimePair.of(expected["p"], expected["q"])))
+    del rec["ms"]
+    assert rec == expected
