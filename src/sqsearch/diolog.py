@@ -123,11 +123,14 @@ class CertifiedReal:
 
 # -- integer-only certified logarithm ---------------------------------------
 #
-# ln(n) for n >= 2 is reduced to ln(n) = e*ln(2) + 2*atanh(a/b) with
-# e = bit_length(n) - 1, a = n - 2^e, b = n + 2^e, so 0 <= a/b < 1/3 and the
-# series atanh(x) = sum x^(2k+1)/(2k+1) gains at least three bits per term.
-# Working values are integers scaled by 2^w; the running power of x is kept
-# as a (floor, ceil) pair so each partial sum brackets the truth.
+# ln(n/d) for positive integers n, d is reduced to ln(n/d) = e*ln(2) +
+# 2*atanh(a/b), with e chosen so that r = n / (d*2^e) lies in [1, 2) and a/b =
+# (r-1)/(r+1), so 0 <= a/b < 1/3 and the series atanh(x) = sum x^(2k+1)/(2k+1)
+# gains at least three bits per term: one series per rational, whatever the
+# sizes of n and d (argument reduction as in Brent-Zimmermann, Modern
+# Computer Arithmetic, 4.4).  Working values are integers scaled by 2^w; the
+# running power of x is kept as a (floor, ceil) pair so each partial sum
+# brackets the truth.
 
 
 def _atanh_scaled(a: int, b: int, w: int) -> tuple[int, int]:
@@ -160,15 +163,21 @@ def _ln2_scaled(w: int) -> tuple[int, int]:
     return 2 * lo, 2 * hi
 
 
-def _ln_scaled(n: int, w: int) -> tuple[int, int]:
-    # Enclosure of ln(n) * 2^w for n >= 1.
-    if n < 1:
-        raise ValueError("n must be positive")
-    e = n.bit_length() - 1
-    m = 1 << e
+def _ln_scaled(n: int, d: int, w: int) -> tuple[int, int]:
+    # Enclosure of ln(n/d) * 2^w for positive integers n, d.
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be positive")
+    e = n.bit_length() - d.bit_length()
+    num, den = (n, d << e) if e >= 0 else (n << -e, d)
+    if num < den:
+        # r was in (1/2, 1): double it.
+        e -= 1
+        num <<= 1
     l2_lo, l2_hi = _ln2_scaled(w)
-    at_lo, at_hi = _atanh_scaled(n - m, n + m, w)
-    return e * l2_lo + 2 * at_lo, e * l2_hi + 2 * at_hi
+    at_lo, at_hi = _atanh_scaled(num - den, num + den, w)
+    # A negative multiple of ln 2 takes its low end from the high end of ln 2.
+    e_lo, e_hi = (e * l2_lo, e * l2_hi) if e >= 0 else (e * l2_hi, e * l2_lo)
+    return e_lo + 2 * at_lo, e_hi + 2 * at_hi
 
 
 @lru_cache(maxsize=4096)
@@ -179,7 +188,7 @@ def certified_log(n: int, bits: int) -> CertifiedReal:
     if bits < _MIN_BITS:
         raise ValueError(f"bits must be at least {_MIN_BITS}")
     w = bits + _GUARD_BITS
-    out = CertifiedReal(*_ln_scaled(n, w), w)
+    out = CertifiedReal(*_ln_scaled(n, 1, w), w)
     if (out.m_hi - out.m_lo) << bits > max(1 << w, out.m_lo):
         raise ArithmeticError(f"ln({n}) enclosure wider than 2^-{bits}")
     return out
@@ -191,9 +200,7 @@ def log_of_fraction(x: Fraction, bits: int) -> CertifiedReal:
     if x <= 0:
         raise ValueError("x must be positive")
     w = bits + _GUARD_BITS
-    nlo, nhi = _ln_scaled(x.numerator, w)
-    dlo, dhi = _ln_scaled(x.denominator, w)
-    return CertifiedReal(nlo - dhi, nhi - dlo, w)
+    return CertifiedReal(*_ln_scaled(x.numerator, x.denominator, w), w)
 
 
 # -- continued fraction of log q / log p ------------------------------------
@@ -217,6 +224,8 @@ def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: Fraction,
             P_cut: Fraction) -> list[Convergent]:
     # Expands the enclosure lq / lp of log q / log p (both at one scale).
     # Each end of the enclosure is kept as an exact ratio n / d of integers.
+    # Every Q and P is an integer, so Q < Q_cut exactly when Q < ceil(Q_cut).
+    Q_cut, P_cut = -(-Q_cut // 1), -(-P_cut // 1)
     n_lo, d_lo, n_hi, d_hi = lq.m_lo, lp.m_hi, lq.m_hi, lp.m_lo
     out: list[Convergent] = []
     P0, P1 = 1, 0   # P_{k-1}, P_{k-2}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import PrimePair
 from .diolog import (
@@ -84,14 +85,24 @@ def _log_of_enclosure(x: CertifiedReal, bits: int) -> CertifiedReal:
     return CertifiedReal(lo.m_lo, hi.m_hi, lo.w)
 
 
+@lru_cache(maxsize=256)
+def _pair_constants(p: int, q: int, bits: int) -> tuple[CertifiedReal, ...]:
+    # Enclosures at one rung of log p, log q, ln(log p * log q) and the
+    # majorant's leading factor c = 1.36e23 * (log p * log q)^3.
+    lp = certified_log(p, bits)
+    lq = certified_log(q, bits)
+    lpq = lp * lq
+    c = Fraction(136, 100) * 10 ** 23 * lpq * lpq * lpq
+    return lp, lq, _log_of_enclosure(lpq, bits), c
+
+
 def _f_upper(x: int, pair: PrimePair, bits: int) -> Fraction:
     # Upper endpoint of the Baker-type majorant evaluated at log d = x.
-    lpq = certified_log(pair.p, bits) * certified_log(pair.q, bits)
+    _, _, ln_lpq, c = _pair_constants(pair.p, pair.q, bits)
     lx = log_of_fraction(Fraction(x), bits)
-    c = Fraction(136, 100) * 10 ** 23 * lpq * lpq * lpq
     t1 = lx + Fraction(163, 100)
     t2 = lx + Fraction(271, 100)
-    t3 = lx + Fraction(208, 100) - _log_of_enclosure(lpq, bits)
+    t3 = lx + Fraction(208, 100) - ln_lpq
     f = c * t1 * t2 * (t3 * t3)
     return f.hi
 
@@ -123,14 +134,13 @@ def initial_bound(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY) -> 
 
 
 def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction, Fraction]:
+    # ln(y / (log p * log q)) = ln y - ln(log p * log q) <= (ln y).hi - ln_lpq.lo.
     bits = cert.precision_bits
-    lp = certified_log(pair.p, bits)
-    lq = certified_log(pair.q, bits)
-    lpq = lp * lq
+    lp, lq, ln_lpq, _ = _pair_constants(pair.p, pair.q, bits)
     b1_gap = log_of_fraction(2 / cert.delta, bits).hi
-    b1_size = _log_of_enclosure(8 * B / lpq, bits).hi
+    b1_size = (log_of_fraction(8 * B, bits) - ln_lpq).hi
     B1 = max(b1_gap, b1_size)
-    tail = _log_of_enclosure(2 * B1 * B1 / lpq, bits).hi
+    tail = (log_of_fraction(2 * B1 * B1, bits) - ln_lpq).hi
     B2 = 2 * B1 + pair.u_q * lq.hi + pair.u_p * lp.hi + tail
     return B1, B2
 

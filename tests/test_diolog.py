@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from sqsearch.arith import PrimePair
@@ -11,6 +13,7 @@ from sqsearch.diolog import (
     certified_log,
     cf_convergents,
     linear_form_gap,
+    log_of_fraction,
 )
 
 mp.dps = 60
@@ -211,3 +214,57 @@ def test_cf_convergents_escalates_through_ladder():
         cf_convergents(2, 3, **cut, policy=PrecisionPolicy(start_bits=16, max_bits=16))
     low = cf_convergents(2, 3, **cut, policy=PrecisionPolicy(start_bits=16))
     assert low == cf_convergents(2, 3, **cut)
+
+
+WIDE = st.integers(min_value=1, max_value=(1 << 512) - 1)
+
+
+@st.composite
+def numerator_denominator(draw):
+    n = draw(WIDE)
+    d = draw(st.one_of(WIDE, st.just(n), st.integers(0, 511).map(lambda k: 1 << k)))
+    return n, d
+
+
+def mpf_to_fraction(x):
+    man, exp = x.man_exp  # some mpmath versions drop the mantissa's sign here
+    return (-1 if x < 0 else 1) * abs(man) * Fraction(2) ** exp
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator_denominator(), st.sampled_from((16, 128, 256)))
+@example((1, (1 << 512) - 1), 16)
+@example(((1 << 512) - 1, 1), 256)
+@example((3, 4), 16)
+@example((5, 5), 128)
+@example((1, 1 << 511), 128)
+def test_log_of_fraction_one_series_encloses_ln(nd, bits):
+    n, d = nd
+    enc = log_of_fraction(Fraction(n, d), bits)
+    with mp.workprec(1200):
+        ln = mpf_to_fraction(mp.log(mp.mpf(n) / mp.mpf(d)))
+    slack = Fraction(1, 1 << 1100)  # mpmath's own rounding at 1200 bits
+    assert enc.lo - slack <= ln <= enc.hi + slack
+    assert enc.width <= Fraction(1, 1 << bits)
+
+
+def test_cf_convergents_integer_cutoffs_match_fraction_comparison():
+    # _expand compares the integer Q and P with the ceilings of the cutoffs;
+    # a cutoff on a convergent's Q or P, or 10^-30 either side of it, must
+    # select what comparing with the exact Fraction selects.
+    big = 10 ** 20
+    full = cf_convergents(2, 3, Q_cut=big, P_cut=big)
+
+    def selected(Q_cut, P_cut):
+        for i, c in enumerate(full):
+            if not (c.Q < Q_cut and c.P < P_cut):
+                return full[:i + 1]
+        raise AssertionError("reference expansion too short")
+
+    eps = Fraction(1, 10 ** 30)
+    for c in full[:-1]:
+        for shift in (0, eps, -eps):
+            Q_cut = Fraction(c.Q) + shift
+            assert cf_convergents(2, 3, Q_cut, big) == selected(Q_cut, big)
+            P_cut = Fraction(c.P) + shift
+            assert cf_convergents(2, 3, big, P_cut) == selected(big, P_cut)

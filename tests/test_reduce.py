@@ -12,6 +12,7 @@ from sqsearch.reduce import (
     reduce_full,
     reduce_once,
 )
+from sqsearch.search import search_pair
 
 mp.dps = 60
 
@@ -159,3 +160,60 @@ def test_reduce_full_precision_cap_below_initial_bound_floor():
     # initial_bound works at a fixed floor of 128 bits, above this cap.
     with pytest.raises(PrecisionError):
         reduce_full(PAIR_23, PrecisionPolicy(start_bits=32, max_bits=64))
+
+
+# initial_bound and the exact delta of every reduction step, as the pipeline
+# produced them before the per-pair constants were cached per rung and before
+# log_of_fraction took one series per rational.  B0 reads the majorant only
+# through comparisons with integers, and each delta reads only certified_log
+# and the cutoff comparisons, so neither may move.
+PINNED_B0_DELTAS = {
+    (2, 3): (1596942650678140554619870248960, (
+        "190109097350673756309128324075433576587069817229459423389/9946464728195732843107644962936416802009123015946954348809279537863189940250667510661120",
+        "304875707527629026497899165665250926335237817133/146150163733090291820368483271628301965593254297600",
+        "334725910744917551396386509176678820089623434699/29230032746618058364073696654325660393118650859520",
+        "1978505261252216783479831711548645026783356416201/146150163733090291820368483271628301965593254297600",
+    )),
+    (3, 5): (22599833357193902298558411833344, (
+        "3366276466899558159008139949666414698240662245230932144937/124330809102446660538845562036705210025114037699336929360115994223289874253133343883264000",
+        "337947638306520535910233411707436788153340260471/365375409332725729550921208179070754913983135744000",
+        "509219369569112985684651049378615476010198658511/18268770466636286477546060408953537745699156787200",
+        "509219369569112985684651049378615476010198658511/18268770466636286477546060408953537745699156787200",
+    )),
+    (281, 293): (198605354838957156791291484592668672, (
+        "698229849224129603691199645701874861631124702610349871/248661618204893321077691124073410420050228075398673858720231988446579748506266687766528000",
+        "15263967582415598106941046651377945291624788439943/365375409332725729550921208179070754913983135744000",
+        "15263967582415598106941046651377945291624788439943/365375409332725729550921208179070754913983135744000",
+    )),
+    (2, 9973): (1270185901428685860299696611786752, (
+        "14106150922642481048015663675915780649285431241584641749/248661618204893321077691124073410420050228075398673858720231988446579748506266687766528000",
+        "3369316101201872963536461046273804852770806951667/365375409332725729550921208179070754913983135744000",
+        "13687337799158992066399707578579583934151676741591/146150163733090291820368483271628301965593254297600",
+        "13687337799158992066399707578579583934151676741591/146150163733090291820368483271628301965593254297600",
+    )),
+    (99989, 99991): (16823041821652841516438808106673111040, (
+        "252880769908944050980323903995358874762344384849087327/124330809102446660538845562036705210025114037699336929360115994223289874253133343883264000",
+        "7300930771788427617125017099297643226389207151/365375409332725729550921208179070754913983135744000",
+        "7300930771788427617125017099297643226389207151/365375409332725729550921208179070754913983135744000",
+    )),
+}
+
+
+@pytest.mark.parametrize("pq", list(PINNED_B0_DELTAS), ids=lambda pq: f"{pq[0]}-{pq[1]}")
+def test_initial_bound_and_deltas_pinned(pq):
+    B0, deltas = PINNED_B0_DELTAS[pq]
+    trace = reduce_full(PrimePair.of(*pq))
+    assert trace.B0 == B0
+    assert tuple(s.delta for s in trace.steps) == tuple(map(Fraction, deltas))
+
+
+def test_low_rung_reduction_reads_constants_at_its_rung():
+    # Gaps certified at 16 bits make _b1_b2 read the pair constants at 16
+    # bits, while initial_bound still reads them at its 128-bit floor.
+    policy = PrecisionPolicy(start_bits=16)
+    trace = reduce_full(PAIR_23, policy)
+    assert trace.precision_bits == 16
+    assert Fraction(17) <= trace.final_bound <= Fraction(22)
+    report = search_pair(PAIR_23, policy)
+    assert [(t.a, t.b, t.c) for t in report.triples] == [
+        (1, 3, 5), (1, 5, 7), (1, 7, 23), (1, 15, 17), (1, 31, 47)]
