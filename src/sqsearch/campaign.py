@@ -25,6 +25,7 @@ from pathlib import Path
 from .arith import PrimePair, is_prime
 from .diolog import DEFAULT_POLICY, PrecisionPolicy
 from .search import (
+    DEFAULT_LIMITS,
     PairReport,
     brute_force_oracle,
     lemma_predicates,
@@ -56,27 +57,16 @@ class CheckpointError(Exception):
 
 # -- primes -------------------------------------------------------------------
 
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(n ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
-
-
 def primes_in_range(lo: int, hi: int, segment: int = 1 << 20) -> list[int]:
     """Primes in [lo, hi] by a segmented sieve; hi can be large without
-    memory pressure."""
+    memory pressure.  The sieving primes up to sqrt(hi) come from the same
+    function, one level down."""
     if hi < 2 or hi < lo:
         return []
     lo = max(lo, 2)
-    base = _primes_upto(math.isqrt(hi) + 1)
-    out = [p for p in base if lo <= p <= hi]
-    start0 = max(lo, base[-1] + 1 if base else 2)
-    for start in range(start0, hi + 1, segment):
+    base = primes_in_range(2, math.isqrt(hi), segment)
+    out: list[int] = []
+    for start in range(lo, hi + 1, segment):
         end = min(start + segment - 1, hi)
         marks = bytearray([1]) * (end - start + 1)
         for p in base:
@@ -324,12 +314,22 @@ def _report_json(report: PairReport) -> dict:
     return rec
 
 
-def _cmd_pair(args) -> int:
-    for r in (args.p, args.q):
+def _check_pair_args(p: int, q: int) -> None:
+    for r in (p, q):
         if not is_prime(r):
             raise _UsageError(f"{r} is not prime")
-    if args.p == args.q:
+    if p == q:
         raise _UsageError("p and q must be distinct")
+
+
+def _check_oracle_height(n: int, flag: str) -> None:
+    top = DEFAULT_LIMITS.max_oracle_height
+    if not 2 <= n <= top:
+        raise _UsageError(f"{flag} must be between 2 and {top}, got {n}")
+
+
+def _cmd_pair(args) -> int:
+    _check_pair_args(args.p, args.q)
     report = search_pair(PrimePair.of(args.p, args.q), _policy_from_env())
     _print_report(report)
     if args.json:
@@ -370,9 +370,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    for r in (args.p, args.q):
-        if not is_prime(r):
-            raise _UsageError(f"{r} is not prime")
+    _check_pair_args(args.p, args.q)
+    _check_oracle_height(args.max, "--max")
     pair = PrimePair.of(args.p, args.q)
     tuples = brute_force_oracle(pair, args.max, args.arity)
     for t in tuples:
@@ -382,7 +381,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    _check_oracle_height(args.height, "--height")
     primes = primes_in_range(2, args.p_max)
+    if len(primes) < 2:
+        raise _UsageError(f"--p-max {args.p_max} leaves fewer than two primes, so no pair")
     total = 0
     violations: list[str] = []
     quadruple_found = False

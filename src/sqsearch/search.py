@@ -9,6 +9,7 @@ oracle enumerates tuple values directly and shares none of that logic.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -273,19 +274,35 @@ def search_pair(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY,
 def brute_force_oracle(pair: PrimePair, N: int, m: int,
                        limits: SearchLimits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
     """Every S-Diophantine m-tuple with entries up to N, by direct value
-    enumeration.  Shares no enumeration logic with search_pair."""
+    enumeration: cliques of the graph on 1..N whose edges a < b have
+    a*b + 1 an S-unit.  Shares no enumeration logic with search_pair."""
     if N < 2:
         raise ValueError("N must be at least 2")
     if m not in (2, 3, 4):
         raise ValueError("m must be 2, 3 or 4")
     if N > limits.max_oracle_height:
         raise ResourceBudgetError(f"oracle height {N} exceeds budget")
+    # Every edge a < b <= N has a*b + 1 <= N(N-1) + 1, so the S-units up to
+    # that bound propose all of them: b = (s-1)/a for s in (a^2+1, aN+1].
+    # The units only prune; as_s_unit still decides each edge.
+    top = N * (N - 1) + 1
+    units: list[int] = []
+    pa = 1
+    while pa <= top:
+        v = pa
+        while v <= top:
+            units.append(v)
+            v *= pair.q
+        pa *= pair.p
+    units.sort()
     neighbors: dict[int, list[int]] = {}
     for a in range(1, N + 1):
         nb = []
-        for b in range(a + 1, N + 1):
-            if as_s_unit(a * b + 1, pair) is not None:
-                nb.append(b)
+        for s in units[bisect_right(units, a * a + 1):bisect_right(units, a * N + 1)]:
+            if (s - 1) % a == 0:
+                b = (s - 1) // a
+                if as_s_unit(a * b + 1, pair) is not None:
+                    nb.append(b)
         neighbors[a] = nb
     out: list[tuple[int, ...]] = []
 

@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqsearch.arith import PrimePair
+from sqsearch.arith import PrimePair, is_prime
 from sqsearch.campaign import (
     CheckpointError,
     SweepSpec,
@@ -41,6 +43,13 @@ def test_primes_in_range_segmented():
     got = primes_in_range(9990, 10050)
     assert got == [10007, 10009, 10037, 10039]
     assert len(primes_in_range(2, 10 ** 4)) == 1229
+
+
+@given(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=60))
+@settings(max_examples=200, deadline=None)
+def test_primes_in_range_matches_is_prime_across_segments(lo, span):
+    hi = lo + span
+    assert primes_in_range(lo, hi, segment=7) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 def test_dec15_formatting():
@@ -188,6 +197,21 @@ def test_cli_oracle(capsys):
     assert main(["oracle", "--p", "3", "--q", "5", "--max", "4", "--arity", "3"]) == 0
     out = capsys.readouterr().out
     assert "(1, 2, 4)" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "--p", "3", "--q", "3", "--max", "10", "--arity", "3"], "distinct"),
+    (["oracle", "--p", "3", "--q", "5", "--max", "1", "--arity", "3"], "--max"),
+    (["oracle", "--p", "3", "--q", "5", "--max", "300000", "--arity", "3"], "--max"),
+    (["verify-lemmas", "--p-max", "7", "--height", "1"], "--height"),
+    (["verify-lemmas", "--p-max", "7", "--height", "300000"], "--height"),
+    (["verify-lemmas", "--p-max", "2", "--height", "60"], "two primes"),
+])
+def test_cli_oracle_usage_errors(capsys, argv, message):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "tuples" not in captured.out
 
 
 def test_cli_bad_arguments():

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqsearch.arith import PrimePair, SUnit, as_s_unit
 from sqsearch.reduce import ExponentBox, exponent_box, reduce_full
@@ -205,3 +209,60 @@ def test_search_report_reverifies():
     report = search_pair(PAIR_23)
     for t in report.triples:
         t.verify(PAIR_23)
+
+
+PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def oracle_by_definition(pair, N, m):
+    edges = {(a, b) for a in range(1, N + 1) for b in range(a + 1, N + 1)
+             if as_s_unit(a * b + 1, pair) is not None}
+    return [t for t in itertools.combinations(range(1, N + 1), m)
+            if all(e in edges for e in itertools.combinations(t, 2))]
+
+
+@given(st.lists(st.sampled_from(PRIMES_TO_50), min_size=2, max_size=2, unique=True),
+       st.integers(min_value=2, max_value=60), st.sampled_from([2, 3, 4]))
+@example([2, 3], 2, 2)  # the edge (1, 2) has a*b + 1 = 3 = N(N-1) + 1
+@settings(max_examples=60, deadline=None)
+def test_oracle_equals_definition(primes, N, m):
+    pair = PrimePair.of(*sorted(primes))
+    assert brute_force_oracle(pair, N, m) == oracle_by_definition(pair, N, m)
+
+
+def _fits(unit, a_cap, b_cap):
+    return unit is not None and unit.alpha <= a_cap and unit.beta <= b_cap
+
+
+def _triple_in_box(pair, b, t):
+    # The in-box rule of acceptance criterion 7.
+    a, bb, c = t
+    return (_fits(as_s_unit(a * bb + 1, pair), b.a12_cap, b.b12_cap)
+            and _fits(as_s_unit(a * c + 1, pair), b.a12_cap, b.b12_cap)
+            and _fits(as_s_unit(bb * c + 1, pair), b.a_cap, b.b_cap))
+
+
+DEEP_HEIGHT = 20_000
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 5), (2, 7), (2, 11)])
+def test_oracle_agrees_with_search_at_height_20000(p, q):
+    pair = PrimePair.of(p, q)
+    oracle = brute_force_oracle(pair, DEEP_HEIGHT, 3)
+    report = search_pair(pair)
+    searched = {(t.a, t.b, t.c) for t in report.triples}
+    in_box = [t for t in oracle if _triple_in_box(pair, report.box, t)]
+    assert in_box
+    assert set(in_box) <= searched
+    assert {t for t in searched if t[2] <= DEEP_HEIGHT} <= set(oracle)
+
+
+def test_out_of_box_oracle_triple_is_excluded_not_missed():
+    # (2, 7, 1562) over {3, 5}: ac + 1 = 3125 = 5^5 lies beyond b12_cap = 2,
+    # so the search cannot reach it and the in-box rule must drop it.
+    report = search_pair(PAIR_35)
+    assert report.box.b12_cap == 2
+    assert as_s_unit(2 * 1562 + 1, PAIR_35).beta == 5
+    assert (2, 7, 1562) in brute_force_oracle(PAIR_35, DEEP_HEIGHT, 3)
+    assert not _triple_in_box(PAIR_35, report.box, (2, 7, 1562))
+    assert (2, 7, 1562) not in {(t.a, t.b, t.c) for t in report.triples}
