@@ -83,15 +83,14 @@ class PrimePair:
     """Two distinct primes p, q with their order and lifting constants.
 
     ord_pq is the multiplicative order of p modulo q (modulo 4 when q = 2)
-    and u_q the exact q-adic valuation of p^ord_pq - 1; ord_qp / u_p are the
-    symmetric quantities.
+    and u_q the exact q-adic valuation of p^ord_pq - 1; u_p is the symmetric
+    valuation with p and q swapped.
     """
 
     p: int
     q: int
     ord_pq: int
     u_q: int
-    ord_qp: int
     u_p: int
 
     @classmethod
@@ -102,8 +101,8 @@ class PrimePair:
             if not is_prime(r):
                 raise ValueError(f"{r} is not prime")
         ord_pq, u_q = lifting_constant(p, q)
-        ord_qp, u_p = lifting_constant(q, p)
-        return cls(p=p, q=q, ord_pq=ord_pq, u_q=u_q, ord_qp=ord_qp, u_p=u_p)
+        _, u_p = lifting_constant(q, p)
+        return cls(p=p, q=q, ord_pq=ord_pq, u_q=u_q, u_p=u_p)
 
 
 def as_s_unit(n: int, pair: PrimePair) -> SUnit | None:

@@ -1,10 +1,10 @@
 """Batch campaigns: prime sweeps with parallel workers, JSONL checkpointing
 with resume, and the command-line interface.
 
-Exit codes: 0 completed with no quadruple found, 2 completed and at least one
-quadruple found (which would contradict the two-prime conjecture), 1 runtime
-error or, for sweep and report, at least one error record and no quadruple,
-3 invalid arguments.
+Exit codes: 0 completed with nothing notable, 2 completed and at least one
+quadruple found (which would contradict the two-prime conjecture) or one
+tuple flagged by a lemma predicate, 1 runtime error or, for sweep and report,
+at least one error record and nothing notable, 3 invalid arguments.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 from .arith import PrimePair, is_prime
 from .diolog import DEFAULT_POLICY, PrecisionPolicy
 from .search import (
-    DEFAULT_LIMITS,
+    MAX_ORACLE_HEIGHT,
     PairReport,
     brute_force_oracle,
     lemma_predicates,
@@ -86,7 +86,7 @@ def _dec15(x: Fraction) -> str:
 
 
 def record_from_report(report: PairReport) -> dict:
-    return {
+    rec = {
         "v": SCHEMA_VERSION,
         "p": report.pair.p,
         "q": report.pair.q,
@@ -100,6 +100,9 @@ def record_from_report(report: PairReport) -> dict:
         "quadruples": [[w.a, w.b, w.c, w.d] for w in report.quadruples],
         "ms": report.wall_ms,
     }
+    if report.flags:
+        rec["flags"] = list(report.flags)
+    return rec
 
 
 def _error_record(p: int, q: int, message: str, ms: int) -> dict:
@@ -164,9 +167,14 @@ class SweepSummary:
     pairs_skipped: int = 0
     pairs_processed: int = 0
     quadruples_found: int = 0
-    violations: int = 0                   # pairs that ended in an error record
-    notable: list[tuple[int, int]] = field(default_factory=list)
+    errors: int = 0                       # pairs that ended in an error record
+    notable: list[tuple[int, int]] = field(default_factory=list)  # quadruples or flags
     wall_ms: int = 0
+
+    @property
+    def violations(self) -> int:
+        # Former name of `errors`, still read by bench/make_reference.py.
+        return self.errors
 
 
 def _pair_list(spec: SweepSpec) -> list[tuple[int, int]]:
@@ -209,9 +217,9 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
 
     def tally(rec: dict) -> None:
         if rec.get("status") == "error":
-            summary.violations += 1
-        if rec.get("quadruples"):
-            summary.quadruples_found += len(rec["quadruples"])
+            summary.errors += 1
+        summary.quadruples_found += len(rec.get("quadruples", []))
+        if rec.get("quadruples") or rec.get("flags"):
             summary.notable.append((rec["p"], rec["q"]))
 
     done: dict[tuple[int, int], dict] = {}
@@ -298,6 +306,8 @@ def _print_report(report: PairReport) -> None:
     print(f"  {len(report.quadruples)} quadruples")
     for w in report.quadruples:
         print(f"    NOTABLE: ({w.a}, {w.b}, {w.c}, {w.d})")
+    for f in report.flags:
+        print(f"  NOTABLE lemma flag     : {f}")
     print(f"  wall time              : {report.wall_ms} ms")
 
 
@@ -323,9 +333,8 @@ def _check_pair_args(p: int, q: int) -> None:
 
 
 def _check_oracle_height(n: int, flag: str) -> None:
-    top = DEFAULT_LIMITS.max_oracle_height
-    if not 2 <= n <= top:
-        raise _UsageError(f"{flag} must be between 2 and {top}, got {n}")
+    if not 2 <= n <= MAX_ORACLE_HEIGHT:
+        raise _UsageError(f"{flag} must be between 2 and {MAX_ORACLE_HEIGHT}, got {n}")
 
 
 def _cmd_pair(args) -> int:
@@ -338,9 +347,9 @@ def _cmd_pair(args) -> int:
     return EXIT_NOTABLE if report.notable else EXIT_OK
 
 
-def _exit_code(quadruples: int, errors: int) -> int:
-    # A found quadruple outranks errors; errors are never reported as success.
-    if quadruples:
+def _exit_code(notable: bool, errors: int) -> int:
+    # Quadruples and lemma flags outrank errors; errors never count as success.
+    if notable:
         return EXIT_NOTABLE
     return EXIT_ERROR if errors else EXIT_OK
 
@@ -362,11 +371,11 @@ def _cmd_sweep(args) -> int:
     print(f"pairs resumed    : {summary.pairs_skipped}")
     print(f"pairs processed  : {summary.pairs_processed}")
     print(f"quadruples found : {summary.quadruples_found}")
-    print(f"errors           : {summary.violations}")
+    print(f"errors           : {summary.errors}")
     print(f"wall time        : {summary.wall_ms} ms")
     for (p, q) in summary.notable:
         print(f"NOTABLE pair ({p}, {q})")
-    return _exit_code(summary.quadruples_found, summary.violations)
+    return _exit_code(bool(summary.notable), summary.errors)
 
 
 def _cmd_oracle(args) -> int:
@@ -408,14 +417,11 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        records = load_checkpoint(Path(args.checkpoint))
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    records = load_checkpoint(Path(args.checkpoint))
     done = [r for r in records.values() if r.get("status") == "done"]
     errors = [r for r in records.values() if r.get("status") == "error"]
     quads = [(r["p"], r["q"], tuple(w)) for r in done for w in r.get("quadruples", [])]
+    flagged = [(r["p"], r["q"], f) for r in done for f in r.get("flags", [])]
     agg = {
         "v": SCHEMA_VERSION,
         "pairs": len(records),
@@ -423,6 +429,7 @@ def _cmd_report(args) -> int:
         "error": len(errors),
         "triples": sum(len(r.get("triples", [])) for r in done),
         "quadruples": [list(q) for q in quads],
+        "flagged": [list(f) for f in flagged],
         "ms": sum(r.get("ms", 0) for r in records.values()),
     }
     print(f"{'p':>10} {'q':>10} {'status':>7} {'triples':>8} {'quads':>6} {'ms':>8}")
@@ -431,8 +438,10 @@ def _cmd_report(args) -> int:
         print(f"{p:>10} {q:>10} {r['status']:>7} "
               f"{len(r.get('triples', [])):>8} {len(r.get('quadruples', [])):>6} "
               f"{r.get('ms', 0):>8}")
+    for p, q, what in quads + flagged:
+        print(f"NOTABLE pair ({p}, {q}): {what}")
     print(json.dumps(agg, sort_keys=True))
-    return _exit_code(len(quads), len(errors))
+    return _exit_code(bool(quads or flagged), len(errors))
 
 
 def _build_parser() -> _Parser:

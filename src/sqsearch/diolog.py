@@ -211,7 +211,6 @@ class Convergent:
 
     P: int
     Q: int
-    index: int
 
 
 class _Ambiguous(Exception):
@@ -230,13 +229,13 @@ def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: Fraction,
     out: list[Convergent] = []
     P0, P1 = 1, 0   # P_{k-1}, P_{k-2}
     Q0, Q1 = 0, 1
-    for index in range(10000):
+    for _ in range(10000):
         a, r_lo = divmod(n_lo, d_lo)
         if n_hi // d_hi != a:
             raise _Ambiguous
         P = a * P0 + P1
         Q = a * Q0 + Q1
-        out.append(Convergent(P=P, Q=Q, index=index))
+        out.append(Convergent(P=P, Q=Q))
         if not (Q < Q_cut and P < P_cut):
             return out
         P1, P0 = P0, P

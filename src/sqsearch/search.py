@@ -1,5 +1,6 @@
 """Exhaustive enumeration inside the exponent box, plus the independent
-brute-force oracle and the lemma predicates used as test checks.
+brute-force oracle and the lemma predicates, which search_pair applies to
+the tuples it finds and verify-lemmas to the oracle's.
 
 The pipeline is: candidate (ab+1, ac+1) pairs -> triples via common divisors
 of s1-1 and s2-1 -> quadruple extension through d = (p^a6 q^b6 - 1)/c.  The
@@ -11,6 +12,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .arith import PrimePair, SUnit, as_s_unit
@@ -21,7 +23,6 @@ __all__ = [
     "Triple",
     "QuadrupleWitness",
     "PairReport",
-    "SearchLimits",
     "ResourceBudgetError",
     "enumerate_candidate_pairs",
     "triples_from_pair",
@@ -34,16 +35,11 @@ __all__ = [
 
 
 class ResourceBudgetError(Exception):
-    """Search space or oracle range exceeds the configured budget."""
+    """Search space or oracle range exceeds the budget below."""
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    max_box_volume: int = 10 ** 8      # (a12+1)(b12+1)(a+1)(b+1)
-    max_oracle_height: int = 200_000
-
-
-DEFAULT_LIMITS = SearchLimits()
+MAX_BOX_VOLUME = 10 ** 8      # (a12+1)(b12+1)(a+1)(b+1)
+MAX_ORACLE_HEIGHT = 200_000
 
 
 @dataclass(frozen=True)
@@ -64,16 +60,13 @@ class Triple:
         return self.a * self.b >= 3 and self.c >= 5
 
     def verify(self, pair: PrimePair) -> None:
+        """Ordering and S-unit witnesses; the lemmas are lemma_predicates'."""
         if not self.a < self.b < self.c:
             raise AssertionError(f"ordering violated: {self}")
-        for x, y, s in ((self.a, self.b, self.s1), (self.a, self.c, self.s2),
-                        (self.b, self.c, self.s4)):
-            su = as_s_unit(x * y + 1, pair)
-            if su != s:
+        for (x, y), s in zip(combinations((self.a, self.b, self.c), 2),
+                             (self.s1, self.s2, self.s4)):
+            if as_s_unit(x * y + 1, pair) != s:
                 raise AssertionError(f"S-unit witness mismatch on {x}*{y}+1")
-        if self.s4.value % self.s2.value == 0:
-            raise AssertionError(
-                f"divisibility lemma violated: {self.s2.value} | {self.s4.value}")
 
 
 def two_smallest_equal(values: tuple[int, int, int, int]) -> bool:
@@ -82,7 +75,7 @@ def two_smallest_equal(values: tuple[int, int, int, int]) -> bool:
     return s[0] == s[1]
 
 
-# Index triples into (s1..s6) for the three valuation identities: the two
+# Indices into (s1..s6) for the three valuation identities: the two
 # smallest exponents of each group must coincide.
 _VALUATION_GROUPS = ((1, 2, 3, 4), (0, 1, 4, 5), (0, 2, 3, 5))
 
@@ -98,24 +91,13 @@ class QuadrupleWitness:
     d: int
     s: tuple[SUnit, SUnit, SUnit, SUnit, SUnit, SUnit]
 
-    def products(self) -> tuple[int, ...]:
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return (a * b + 1, a * c + 1, a * d + 1, b * c + 1, b * d + 1, c * d + 1)
-
     def verify(self, pair: PrimePair) -> None:
+        """Ordering and S-unit witnesses; the lemmas are lemma_predicates'."""
         if not self.a < self.b < self.c < self.d:
             raise AssertionError(f"ordering violated: {self}")
-        for prod, s in zip(self.products(), self.s):
-            su = as_s_unit(prod, pair)
-            if su != s:
-                raise AssertionError(f"S-unit witness mismatch on {prod}")
-        alphas = tuple(s.alpha for s in self.s)
-        betas = tuple(s.beta for s in self.s)
-        for grp in _VALUATION_GROUPS:
-            if not two_smallest_equal(tuple(alphas[i] for i in grp)):
-                raise AssertionError(f"alpha valuation structure violated on {grp}")
-            if not two_smallest_equal(tuple(betas[i] for i in grp)):
-                raise AssertionError(f"beta valuation structure violated on {grp}")
+        for (x, y), s in zip(combinations((self.a, self.b, self.c, self.d), 2), self.s):
+            if as_s_unit(x * y + 1, pair) != s:
+                raise AssertionError(f"S-unit witness mismatch on {x}*{y}+1")
 
 
 @dataclass(frozen=True)
@@ -131,10 +113,11 @@ class PairReport:
     quad_candidates: int
     quadruples: tuple[QuadrupleWitness, ...]
     wall_ms: int
+    flags: tuple[str, ...] = ()       # lemma_predicates on the tuples found
 
     @property
     def notable(self) -> bool:
-        return bool(self.quadruples)
+        return bool(self.quadruples or self.flags)
 
 
 def _box_values(pair: PrimePair, a_cap: int, b_cap: int) -> list[SUnit]:
@@ -227,18 +210,17 @@ def extend_to_quadruples(t: Triple, box: ExponentBox,
     return found, candidates
 
 
-def search_pair(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY,
-                limits: SearchLimits = DEFAULT_LIMITS) -> PairReport:
+def search_pair(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY) -> PairReport:
     """Full pipeline for one prime pair: reduce, box, enumerate, extend,
-    re-verify.  Reported quadruples have been re-checked from scratch."""
+    re-verify.  Reported tuples have been re-checked from scratch, and a
+    lemma they break is reported in `flags`, not raised."""
     t0 = time.perf_counter()
     trace = reduce_full(pair, policy)
     box = exponent_box(trace)
     volume = ((box.a12_cap + 1) * (box.b12_cap + 1)
               * (box.a_cap + 1) * (box.b_cap + 1))
-    if volume > limits.max_box_volume:
-        raise ResourceBudgetError(
-            f"box volume {volume} exceeds budget {limits.max_box_volume}")
+    if volume > MAX_BOX_VOLUME:
+        raise ResourceBudgetError(f"box volume {volume} exceeds budget {MAX_BOX_VOLUME}")
 
     pair_count = 0
     triple_candidates = 0
@@ -263,16 +245,17 @@ def search_pair(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY,
         t.verify(pair)
     for w in quadruples:
         w.verify(pair)
+    flags = lemma_predicates(pair, [(t.a, t.b, t.c) for t in triples]
+                             + [(w.a, w.b, w.c, w.d) for w in quadruples])
 
     wall_ms = int((time.perf_counter() - t0) * 1000)
     return PairReport(pair=pair, trace=trace, box=box, pair_count=pair_count,
                       triple_candidates=triple_candidates, triples=tuple(triples),
                       quad_candidates=quad_candidates, quadruples=tuple(quadruples),
-                      wall_ms=wall_ms)
+                      wall_ms=wall_ms, flags=tuple(flags))
 
 
-def brute_force_oracle(pair: PrimePair, N: int, m: int,
-                       limits: SearchLimits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
+def brute_force_oracle(pair: PrimePair, N: int, m: int) -> list[tuple[int, ...]]:
     """Every S-Diophantine m-tuple with entries up to N, by direct value
     enumeration: cliques of the graph on 1..N whose edges a < b have
     a*b + 1 an S-unit.  Shares no enumeration logic with search_pair."""
@@ -280,7 +263,7 @@ def brute_force_oracle(pair: PrimePair, N: int, m: int,
         raise ValueError("N must be at least 2")
     if m not in (2, 3, 4):
         raise ValueError("m must be 2, 3 or 4")
-    if N > limits.max_oracle_height:
+    if N > MAX_ORACLE_HEIGHT:
         raise ResourceBudgetError(f"oracle height {N} exceeds budget")
     # Every edge a < b <= N has a*b + 1 <= N(N-1) + 1, so the S-units up to
     # that bound propose all of them: b = (s-1)/a for s in (a^2+1, aN+1].
@@ -320,38 +303,41 @@ def brute_force_oracle(pair: PrimePair, N: int, m: int,
     return sorted(out)
 
 
-def _beta_of(pair: PrimePair, value: int) -> int | None:
-    su = as_s_unit(value, pair)
-    if su is None:
-        return None
-    # beta tracks the exponent of the odd prime when p = 2 in either slot.
-    return su.beta if pair.p == 2 else su.alpha
-
-
 def lemma_predicates(pair: PrimePair, tuples: list[tuple[int, ...]]) -> list[str]:
-    """Check the structural lemmas on oracle output; returns violations.
+    """Check the paper's structural lemmas on raw tuples; returns violations.
 
-    Divisibility (ac+1 never divides bc+1) applies to every triple; the
+    This is the only place the lemmas are written.  Divisibility (ac+1
+    never divides bc+1) applies to every triple, and the valuation groups
+    to every 4-tuple whose six products are S-units; the exponent-zero,
     parity and mod-4 statements apply only to S = {2, q} with q = 3 mod 4.
     """
     violations: list[str] = []
-    odd_prime = pair.q if pair.p == 2 else pair.p
+    # When 2 is in S, the odd prime's exponent is beta if p = 2, else alpha.
+    odd_prime, odd_exp = (pair.q, "beta") if pair.p == 2 else (pair.p, "alpha")
     two_q3 = 2 in (pair.p, pair.q) and odd_prime % 4 == 3
     for t in tuples:
+        # (ab+1, ac+1, bc+1), or (ab+1, ac+1, ad+1, bc+1, bd+1, cd+1)
+        products = [x * y + 1 for x, y in combinations(t, 2)]
         if len(t) == 3:
-            a, b, c = t
-            if (b * c + 1) % (a * c + 1) == 0:
-                violations.append(f"div: {t}: {a*c+1} | {b*c+1}")
+            if products[2] % products[1] == 0:
+                violations.append(f"div: {t}: {products[1]} | {products[2]}")
             if two_q3:
-                betas = [_beta_of(pair, a * b + 1), _beta_of(pair, a * c + 1),
-                         _beta_of(pair, b * c + 1)]
-                if None in betas:
+                sus = [as_s_unit(n, pair) for n in products]
+                if None in sus:
                     violations.append(f"exp_zero: {t}: not an S-Diophantine triple")
-                elif 0 not in betas:
+                elif all(getattr(s, odd_exp) for s in sus):
                     violations.append(f"exp_zero: {t}: all of b1,b2,b4 nonzero")
-        elif len(t) == 4 and two_q3:
-            if any(x % 2 == 0 for x in t):
+        elif len(t) == 4:
+            sus = [as_s_unit(n, pair) for n in products]
+            if None in sus:
+                violations.append(f"s_unit: {t}: not an S-Diophantine quadruple")
+            else:
+                for grp in _VALUATION_GROUPS:
+                    for name in ("alpha", "beta"):
+                        if not two_smallest_equal(tuple(getattr(sus[i], name) for i in grp)):
+                            violations.append(f"valuation: {t}: {name} group {grp}")
+            if two_q3 and any(x % 2 == 0 for x in t):
                 violations.append(f"odd: {t}: even member")
-            if sorted(x % 4 for x in t) != [1, 1, 3, 3]:
+            if two_q3 and sorted(x % 4 for x in t) != [1, 1, 3, 3]:
                 violations.append(f"mod4: {t}: residues not (1,1,3,3)")
     return violations

@@ -115,7 +115,7 @@ def test_criterion_05_sweep_2q_to_10000(sweep5):
     ck, summary, dt = sweep5
     assert summary.pairs_total == 1228
     assert summary.quadruples_found == 0
-    assert summary.violations == 0
+    assert summary.errors == 0
     records = load_checkpoint(ck)
     assert len(records) == 1228
     assert all(r["status"] == "done" for r in records.values())
@@ -132,7 +132,7 @@ def test_criterion_06_sweep_all_pairs_to_300(tmp_path):
     dt = time.perf_counter() - t0
     assert summary.pairs_total == 1830  # 61 odd primes below 300
     assert summary.quadruples_found == 0
-    assert summary.violations == 0
+    assert summary.errors == 0
     assert dt < 1800
     print(f"\nACCEPTANCE 6 PASS: 1830 odd pairs p < q < 300 (3 mod 4 included), "
           f"0 quadruples, {dt:.0f} s")

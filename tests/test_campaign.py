@@ -252,7 +252,7 @@ def test_sweep_summary_counts_only_own_pairs(tmp_path, capsys):
                   encoding="utf-8")
     summary = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=7,
                               workers=1, checkpoint_path=ck))
-    assert summary.violations == 0 and summary.pairs_processed == 3
+    assert summary.errors == 0 and summary.pairs_processed == 3
     assert main(["sweep", "--p", "2", "--q-min", "3", "--q-max", "7",
                  "--checkpoint", str(ck)]) == 0
 
@@ -295,6 +295,45 @@ def test_cli_exit_2_when_quadruple_found(monkeypatch, capsys):
     assert main(["pair", "--p", "2", "--q", "3"]) == 2
 
 
+def test_lemma_flag_is_reported_not_dropped(monkeypatch, tmp_path, capsys):
+    # Plant a lemma flag on {2,3}'s real triples: the pair keeps its record
+    # and triples, gains the flags, counts as NOTABLE, and is not run again.
+    import sqsearch.search as search
+    real = search.lemma_predicates
+
+    def planted(pair, tuples):
+        extra = [f"planted: {t}" for t in tuples if (pair.p, pair.q) == (2, 3)]
+        return real(pair, tuples) + extra
+
+    monkeypatch.setattr(search, "lemma_predicates", planted)
+    ck = tmp_path / "flagged.jsonl"
+    argv = ["sweep", "--p", "2", "--q-min", "3", "--q-max", "7", "--checkpoint", str(ck)]
+    assert main(argv) == 2
+    assert "NOTABLE pair (2, 3)" in capsys.readouterr().out
+    triples = [[1, 3, 5], [1, 5, 7], [1, 7, 23], [1, 15, 17], [1, 31, 47]]
+    flags = [f"planted: {tuple(t)}" for t in triples]
+    records = load_checkpoint(ck)
+    assert records[(2, 3)]["status"] == "done"
+    assert records[(2, 3)]["triples"] == triples
+    assert records[(2, 3)]["flags"] == flags
+    assert "flags" not in records[(2, 5)] and "flags" not in records[(2, 7)]
+
+    assert main(["report", "--checkpoint", str(ck)]) == 2
+    out = capsys.readouterr().out
+    assert "NOTABLE pair (2, 3): planted: (1, 3, 5)" in out
+    assert json.loads(out.splitlines()[-1])["flagged"] == [[2, 3, f] for f in flags]
+
+    # The flags now come from the checkpoint alone; resume leaves it as it is.
+    monkeypatch.undo()
+    raw = ck.read_bytes()
+    resumed = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=7,
+                              workers=1, checkpoint_path=ck))
+    assert resumed.pairs_processed == 0 and resumed.notable == [(2, 3)]
+    assert main(argv) == 2
+    assert "NOTABLE pair (2, 3)" in capsys.readouterr().out
+    assert ck.read_bytes() == raw
+
+
 def test_sweep_worker_error_isolates(monkeypatch, tmp_path):
     import sqsearch.campaign as campaign
 
@@ -307,7 +346,7 @@ def test_sweep_worker_error_isolates(monkeypatch, tmp_path):
                      workers=1, checkpoint_path=ck)
     summary = sweep(spec)
     assert summary.pairs_processed == 4
-    assert summary.violations == 1
+    assert summary.errors == 1
     recs = load_checkpoint(ck)
     assert recs[(2, 5)]["status"] == "error"
     assert recs[(2, 3)]["status"] == "done"

@@ -69,7 +69,6 @@ def test_cf_convergents_23_hand_expansion():
     # log3/log2 = [1; 1, 1, 2, 2, 3, 1, 5, ...]
     convs = cf_convergents(2, 3, Q_cut=13, P_cut=25)
     assert [(c.P, c.Q) for c in convs] == [(1, 1), (2, 1), (3, 2), (8, 5), (19, 12), (65, 41)]
-    assert [c.index for c in convs] == [0, 1, 2, 3, 4, 5]
 
 
 def test_cf_convergents_boundary_guard_only():
@@ -181,9 +180,9 @@ def test_linear_form_gap_rejects_small_B():
 
 
 def test_convergent_type_is_hashable_record():
-    c = Convergent(P=3, Q=2, index=2)
-    assert (c.P, c.Q, c.index) == (3, 2, 2)
-    assert hash(c) == hash(Convergent(P=3, Q=2, index=2))
+    c = Convergent(P=3, Q=2)
+    assert (c.P, c.Q) == (3, 2)
+    assert hash(c) == hash(Convergent(P=3, Q=2))
 
 
 def test_linear_form_gap_escalates_from_low_start():

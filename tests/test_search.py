@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from sqsearch.arith import PrimePair, SUnit, as_s_unit
 from sqsearch.reduce import ExponentBox, exponent_box, reduce_full
+import sqsearch.search as search
 from sqsearch.search import (
     QuadrupleWitness,
     ResourceBudgetError,
-    SearchLimits,
     brute_force_oracle,
     enumerate_candidate_pairs,
     extend_to_quadruples,
@@ -145,9 +145,10 @@ def test_search_pair_triples_ordered():
         assert t.a < t.b < t.c
 
 
-def test_search_pair_budget():
+def test_search_pair_budget(monkeypatch):
+    monkeypatch.setattr(search, "MAX_BOX_VOLUME", 1)
     with pytest.raises(ResourceBudgetError):
-        search_pair(PAIR_23, limits=SearchLimits(max_box_volume=1))
+        search_pair(PAIR_23)
 
 
 def test_oracle_examples():
@@ -205,10 +206,42 @@ def test_lemma_predicates_flags_planted_violations():
     assert any("mod4" in s for s in v)
 
 
+def test_lemma_predicates_reports_non_s_unit_products():
+    # (1, 3, 5, 7) is odd with residues (1, 3, 1, 3), so only 3*7 + 1 = 22,
+    # which is no S-unit over {2, 3}, can be reported.
+    assert lemma_predicates(PAIR_23, [(1, 3, 5, 7)]) == \
+        ["s_unit: (1, 3, 5, 7): not an S-Diophantine quadruple"]
+
+
+# A triple padded with 0: its six products 1, 1, 1, 4, 6, 16 are S-units over
+# {2, 3}, so the tuple passes the witness check, and it keeps the real
+# valuation groups.  The group (0, 3, 4, 5) has 2-adic exponents 0, 2, 1, 4.
+PADDED_23 = (0, 1, 3, 5)
+PLANTED_GROUPS = ((0, 3, 4, 5),)
+
+
+def test_lemma_predicates_reports_planted_valuation_break(monkeypatch):
+    assert not any(v.startswith("valuation") for v in lemma_predicates(PAIR_23, [PADDED_23]))
+    monkeypatch.setattr(search, "_VALUATION_GROUPS", PLANTED_GROUPS)
+    assert "valuation: (0, 1, 3, 5): alpha group (0, 3, 4, 5)" in \
+        lemma_predicates(PAIR_23, [PADDED_23])
+
+
+def test_quadruple_witness_verify_ignores_lemmas(monkeypatch):
+    # Witness checks stay hard errors; a lemma mismatch is for
+    # lemma_predicates to report, so verify must not raise on it.
+    monkeypatch.setattr(search, "_VALUATION_GROUPS", PLANTED_GROUPS)
+    a, b, c, d = PADDED_23
+    units = tuple(su(PAIR_23, n) for n in
+                  (a * b + 1, a * c + 1, a * d + 1, b * c + 1, b * d + 1, c * d + 1))
+    QuadrupleWitness(a=a, b=b, c=c, d=d, s=units).verify(PAIR_23)
+
+
 def test_search_report_reverifies():
     report = search_pair(PAIR_23)
     for t in report.triples:
         t.verify(PAIR_23)
+    assert report.flags == ()
 
 
 PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
