@@ -15,7 +15,6 @@ import decimal
 import json
 import math
 import multiprocessing
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -23,7 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arith import PrimePair, is_prime
-from .diolog import DEFAULT_POLICY, PrecisionPolicy
 from .search import (
     MAX_ORACLE_HEIGHT,
     PairReport,
@@ -157,7 +155,6 @@ class SweepSpec:
     skip_33: bool = False
     workers: int = 1
     checkpoint_path: Path | None = None
-    policy: PrecisionPolicy = DEFAULT_POLICY
     max_pairs: int | None = None
 
 
@@ -195,12 +192,12 @@ def _pair_list(spec: SweepSpec) -> list[tuple[int, int]]:
     return pairs
 
 
-def _run_pair(task: tuple[int, int, PrecisionPolicy]) -> dict:
-    p, q, policy = task
+def _run_pair(task: tuple[int, int]) -> dict:
+    p, q = task
     t0 = time.perf_counter()
     try:
         pair = PrimePair.of(p, q)
-        report = search_pair(pair, policy)
+        report = search_pair(pair)
         return record_from_report(report)
     except Exception as exc:  # worker failures isolate to their pair
         ms = int((time.perf_counter() - t0) * 1000)
@@ -241,7 +238,6 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
         else:
             pending.append(pq)
     summary.pairs_skipped = len(pairs) - len(pending)
-    tasks = [(p, q, spec.policy) for (p, q) in pending]
 
     def consume(rec: dict) -> None:
         summary.pairs_processed += 1
@@ -252,11 +248,11 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
 
     try:
         if spec.workers <= 1:
-            for task in tasks:
+            for task in pending:
                 consume(_run_pair(task))
         else:
             with multiprocessing.Pool(spec.workers) as pool:
-                for rec in pool.imap_unordered(_run_pair, tasks):
+                for rec in pool.imap_unordered(_run_pair, pending):
                     consume(rec)
     finally:
         if ckpt_file is not None:
@@ -277,14 +273,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     """Invalid input found after argument parsing; main exits with EXIT_USAGE."""
-
-
-def _policy_from_env() -> PrecisionPolicy:
-    try:
-        return PrecisionPolicy(start_bits=int(os.environ.get("SQS_START_BITS", "128")),
-                               max_bits=int(os.environ.get("SQS_MAX_BITS", "16384")))
-    except ValueError as exc:
-        raise _UsageError(f"SQS_START_BITS/SQS_MAX_BITS: {exc}") from exc
 
 
 def _print_report(report: PairReport) -> None:
@@ -339,7 +327,7 @@ def _check_oracle_height(n: int, flag: str) -> None:
 
 def _cmd_pair(args) -> int:
     _check_pair_args(args.p, args.q)
-    report = search_pair(PrimePair.of(args.p, args.q), _policy_from_env())
+    report = search_pair(PrimePair.of(args.p, args.q))
     _print_report(report)
     if args.json:
         Path(args.json).write_text(json.dumps(_report_json(report), indent=2) + "\n",
@@ -357,13 +345,15 @@ def _exit_code(notable: bool, errors: int) -> int:
 def _cmd_sweep(args) -> int:
     if not is_prime(args.p) and not args.all_pairs:
         raise _UsageError(f"{args.p} is not prime")
+    for flag, n in (("--max", args.max), ("--workers", args.workers)):
+        if n is not None and n < 1:
+            raise _UsageError(f"{flag} must be at least 1, got {n}")
     spec = SweepSpec(
         mode="all-pairs" if args.all_pairs else "fixed-p",
         p_fixed=None if args.all_pairs else args.p,
         q_min=args.q_min, q_max=args.q_max,
         skip_33=args.skip_33, workers=args.workers,
         checkpoint_path=Path(args.checkpoint) if args.checkpoint else None,
-        policy=_policy_from_env(),
         max_pairs=args.max,
     )
     summary = sweep(spec, force_restart=args.force_restart)
@@ -417,7 +407,10 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = load_checkpoint(Path(args.checkpoint))
+    path = Path(args.checkpoint)
+    if not path.exists():
+        raise _UsageError(f"no checkpoint file at {path}")
+    records = load_checkpoint(path)
     done = [r for r in records.values() if r.get("status") == "done"]
     errors = [r for r in records.values() if r.get("status") == "error"]
     quads = [(r["p"], r["q"], tuple(w)) for r in done for w in r.get("quadruples", [])]

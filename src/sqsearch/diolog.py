@@ -14,18 +14,21 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
+    "START_BITS",
+    "MAX_BITS",
     "PrecisionError",
-    "PrecisionPolicy",
-    "DEFAULT_POLICY",
     "CertifiedReal",
     "Convergent",
     "GapCertificate",
     "certified_log",
     "log_of_fraction",
-    "cf_convergents",
     "linear_form_gap",
 ]
 
+# Working-precision ladder of linear_form_gap: certify at START_BITS and
+# double while a partial quotient or a sign is undecided, up to MAX_BITS.
+START_BITS = 128
+MAX_BITS = 16384
 _MIN_BITS = 16
 # Extra bits of every working scale: an enclosure made at precision `bits`
 # has w = bits + _GUARD_BITS, so operands from one rung share a scale.
@@ -37,33 +40,10 @@ class PrecisionError(Exception):
 
 
 @dataclass(frozen=True)
-class PrecisionPolicy:
-    """Working-precision ladder: start at start_bits, double up to max_bits."""
-
-    start_bits: int = 128
-    max_bits: int = 16384
-
-    def __post_init__(self):
-        if self.start_bits < _MIN_BITS:
-            raise ValueError(f"start_bits must be at least {_MIN_BITS}")
-        if self.max_bits < self.start_bits:
-            raise ValueError("max_bits must be at least start_bits")
-
-    def ladder(self):
-        bits = self.start_bits
-        while bits <= self.max_bits:
-            yield bits
-            bits *= 2
-
-
-DEFAULT_POLICY = PrecisionPolicy()
-
-
-@dataclass(frozen=True)
 class CertifiedReal:
     """Enclosure m_lo * 2^-w <= x <= m_hi * 2^-w of a real number.  Operands
     must share the scale w; a rational operand becomes its tightest enclosure
-    at that scale, and products and quotients round outward."""
+    at that scale, and products round outward."""
 
     m_lo: int
     m_hi: int
@@ -109,16 +89,6 @@ class CertifiedReal:
         return CertifiedReal(min(products) >> self.w, -(-max(products) >> self.w), self.w)
 
     __rmul__ = __mul__
-
-    def __rtruediv__(self, other):
-        if self.m_lo <= 0 <= self.m_hi:
-            raise ZeroDivisionError("divisor enclosure contains zero")
-        x = Fraction(other)
-        # other / (m * 2^-w) at scale w has mantissa num * 2^(2w) / (den * m).
-        n = x.numerator << (2 * self.w)
-        d_lo, d_hi = x.denominator * self.m_lo, x.denominator * self.m_hi
-        return CertifiedReal(min(n // d_lo, n // d_hi),
-                             max(-(-n // d_lo), -(-n // d_hi)), self.w)
 
 
 # -- integer-only certified logarithm ---------------------------------------
@@ -215,13 +185,16 @@ class Convergent:
 
 class _Ambiguous(Exception):
     # Internal: the current enclosure does not pin down the next partial
-    # quotient; the caller escalates precision and retries.
+    # quotient or a sign; linear_form_gap doubles the precision and retries.
     pass
 
 
 def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: Fraction,
             P_cut: Fraction) -> list[Convergent]:
-    # Expands the enclosure lq / lp of log q / log p (both at one scale).
+    # All convergents of the enclosure lq / lp of log q / log p (both at one
+    # scale) with Q < Q_cut and P < P_cut, plus the first one violating
+    # either cutoff as a boundary guard; raises _Ambiguous when the
+    # enclosure does not pin down a partial quotient.
     # Each end of the enclosure is kept as an exact ratio n / d of integers.
     # Every Q and P is an integer, so Q < Q_cut exactly when Q < ceil(Q_cut).
     Q_cut, P_cut = -(-Q_cut // 1), -(-P_cut // 1)
@@ -247,28 +220,6 @@ def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: Fraction,
     raise _Ambiguous
 
 
-def cf_convergents(p: int, q: int, Q_cut, P_cut,
-                   policy: PrecisionPolicy = DEFAULT_POLICY) -> list[Convergent]:
-    """All convergents of log q / log p with Q < Q_cut and P < P_cut, plus the
-    first convergent violating either cutoff (conservative boundary guard).
-
-    Partial quotients are only emitted when the certified enclosure of the
-    ratio pins them down; otherwise the expansion restarts at the next rung
-    of the precision ladder.
-    """
-    Q_cut = Fraction(Q_cut)
-    P_cut = Fraction(P_cut)
-    if Q_cut <= 0 or P_cut <= 0:
-        raise ValueError("cutoffs must be positive")
-    for bits in policy.ladder():
-        try:
-            return _expand(certified_log(p, bits), certified_log(q, bits), Q_cut, P_cut)
-        except _Ambiguous:
-            continue
-    raise PrecisionError(
-        f"continued fraction of log {q}/log {p} not resolved within {policy.max_bits} bits")
-
-
 # -- certified linear-form gap ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -292,24 +243,25 @@ def _abs_linear_form(c: Convergent, lp: CertifiedReal, lq: CertifiedReal) -> int
     raise _Ambiguous
 
 
-def linear_form_gap(pair, B, policy: PrecisionPolicy = DEFAULT_POLICY) -> GapCertificate:
+def linear_form_gap(pair, B) -> GapCertificate:
     """Certified delta > 0 below |P log p - Q log q| for every convergent of
     log q / log p within the reduction cutoffs Q < 2B/log q, P < 2B/log p.
 
     delta is 0.999 times the certified lower endpoint of the minimum over the
     within-cutoff convergents (cutoffs taken with their certified upper
     bounds, so doubt adds convergents).  Only those convergents enter the
-    certificate; the extra boundary guard that cf_convergents emits marks
-    where the expansion stopped but is not part of the minimum.  When no
-    convergent lies inside the cutoffs the hypothesis is vacuous and the
-    guard alone supplies a valid positive delta.
+    certificate; the extra boundary guard that _expand emits marks where the
+    expansion stopped but is not part of the minimum.  When no convergent
+    lies inside the cutoffs the hypothesis is vacuous and the guard alone
+    supplies a valid positive delta.
     """
     B = Fraction(B)
     if B < 1:
         raise ValueError("B must be at least 1")
     p, q = min(pair.p, pair.q), max(pair.p, pair.q)
     last_error: Exception | None = None
-    for bits in policy.ladder():
+    bits = START_BITS
+    while bits <= MAX_BITS:
         lp = certified_log(p, bits)
         lq = certified_log(q, bits)
         Q_cut = 2 * B / lq.lo
@@ -320,10 +272,11 @@ def linear_form_gap(pair, B, policy: PrecisionPolicy = DEFAULT_POLICY) -> GapCer
             min_low = min(_abs_linear_form(c, lp, lq) for c in pool)
         except _Ambiguous as exc:
             last_error = exc
+            bits *= 2
             continue
         delta = Fraction(999 * min_low, 1000 << lp.w)
         return GapCertificate(delta=delta, convergents_checked=tuple(pool),
                               precision_bits=bits)
     raise PrecisionError(
         f"gap for ({p},{q}) at B={float(B):.6g} not certified within "
-        f"{policy.max_bits} bits") from last_error
+        f"{MAX_BITS} bits") from last_error

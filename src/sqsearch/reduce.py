@@ -13,11 +13,9 @@ from functools import lru_cache
 
 from .arith import PrimePair
 from .diolog import (
-    DEFAULT_POLICY,
+    START_BITS,
     CertifiedReal,
     GapCertificate,
-    PrecisionError,
-    PrecisionPolicy,
     certified_log,
     linear_form_gap,
     log_of_fraction,
@@ -107,26 +105,23 @@ def _f_upper(x: int, pair: PrimePair, bits: int) -> Fraction:
     return f.hi
 
 
-def initial_bound(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY) -> Fraction:
+def initial_bound(pair: PrimePair) -> Fraction:
     """Certified upper bound for the crossing point of the Baker-type
     inequality, so that every solution satisfies log d < initial_bound.
 
     Exponential doubling brackets the crossing, integer bisection tightens it
     to relative width 1/1000, and the certified side is always the one that
-    proves F(x) < x.
+    proves F(x) < x.  The majorant is evaluated at START_BITS.
     """
-    bits = max(policy.start_bits, 128)
-    if bits > policy.max_bits:
-        raise PrecisionError(f"{bits} bits exceeds the cap of {policy.max_bits}")
     lo, hi = 4, 16
-    while not _f_upper(hi, pair, bits) < hi:
+    while not _f_upper(hi, pair, START_BITS) < hi:
         lo = hi
         hi *= 2
         if hi > 1 << 4096:
             raise ArithmeticError("no crossing found; inputs out of range")
     while hi - lo > max(1, hi // _BISECTION_REL):
         mid = (lo + hi) // 2
-        if _f_upper(mid, pair, bits) < mid:
+        if _f_upper(mid, pair, START_BITS) < mid:
             hi = mid
         else:
             lo = mid
@@ -145,30 +140,30 @@ def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction
     return B1, B2
 
 
-def reduce_once(pair: PrimePair, B, policy: PrecisionPolicy = DEFAULT_POLICY) -> ReductionStep:
+def reduce_once(pair: PrimePair, B) -> ReductionStep:
     """One reduction-lemma application at the current bound B >= log d."""
     B = Fraction(B)
     if B < 1:
         raise ValueError("B must be at least 1")
-    cert = linear_form_gap(pair, B, policy)
+    cert = linear_form_gap(pair, B)
     B1, B2 = _b1_b2(pair, B, cert)
     return ReductionStep(B_in=B, delta=cert.delta, B1=B1, B2=B2)
 
 
-def reduce_full(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY) -> ReductionTrace:
+def reduce_full(pair: PrimePair) -> ReductionTrace:
     """Iterate reduce_once from the initial bound until the relative
     improvement drops below STOP_RATIO or a step fails to improve."""
-    B0 = initial_bound(pair, policy)
+    B0 = initial_bound(pair)
     steps: list[ReductionStep] = []
     B = B0
     for _ in range(64):
-        step = reduce_once(pair, B, policy)
+        step = reduce_once(pair, B)
         steps.append(step)
         if step.improvement <= 0 or step.improvement < STOP_RATIO * B:
             break
         B = step.B2
     final = min([B0] + [s.B2 for s in steps])
-    final_cert = linear_form_gap(pair, final, policy)
+    final_cert = linear_form_gap(pair, final)
     final_B1, _ = _b1_b2(pair, final, final_cert)
     return ReductionTrace(pair=pair, B0=B0, steps=tuple(steps),
                           final_bound=final, final_B1=final_B1,

@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Iterator
 
 from .arith import PrimePair, SUnit, as_s_unit
-from .diolog import DEFAULT_POLICY, PrecisionPolicy
 from .reduce import ExponentBox, ReductionTrace, exponent_box, reduce_full
 
 __all__ = [
@@ -210,12 +209,12 @@ def extend_to_quadruples(t: Triple, box: ExponentBox,
     return found, candidates
 
 
-def search_pair(pair: PrimePair, policy: PrecisionPolicy = DEFAULT_POLICY) -> PairReport:
+def search_pair(pair: PrimePair) -> PairReport:
     """Full pipeline for one prime pair: reduce, box, enumerate, extend,
     re-verify.  Reported tuples have been re-checked from scratch, and a
     lemma they break is reported in `flags`, not raised."""
     t0 = time.perf_counter()
-    trace = reduce_full(pair, policy)
+    trace = reduce_full(pair)
     box = exponent_box(trace)
     volume = ((box.a12_cap + 1) * (box.b12_cap + 1)
               * (box.a_cap + 1) * (box.b_cap + 1))

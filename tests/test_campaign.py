@@ -214,6 +214,27 @@ def test_cli_oracle_usage_errors(capsys, argv, message):
     assert "tuples" not in captured.out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["report", "--checkpoint", "missing.jsonl"], "no checkpoint"),
+    (["sweep", "--q-min", "3", "--q-max", "20", "--max", "-1"], "--max"),
+    (["sweep", "--q-min", "3", "--q-max", "20", "--max", "0"], "--max"),
+    (["sweep", "--q-min", "3", "--q-max", "20", "--workers", "0"], "--workers"),
+    (["sweep", "--q-min", "3", "--q-max", "20", "--workers", "-2"], "--workers"),
+])
+def test_cli_inputs_that_would_hide_results(tmp_path, monkeypatch, capsys, argv, message):
+    # Accepted, each would exit 0 with output that hides results: an empty
+    # report, a sweep short of its last pair, a silently serial run.
+    monkeypatch.chdir(tmp_path)
+    ck = tmp_path / "refused.jsonl"
+    if argv[0] == "sweep":
+        argv = argv + ["--checkpoint", str(ck)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "pairs total" not in captured.out and '"pairs"' not in captured.out
+    assert not ck.exists()
+
+
 def test_cli_bad_arguments():
     assert main(["pair", "--p", "2"]) == 3
     assert main(["nonsense"]) == 3
@@ -350,30 +371,6 @@ def test_sweep_worker_error_isolates(monkeypatch, tmp_path):
     recs = load_checkpoint(ck)
     assert recs[(2, 5)]["status"] == "error"
     assert recs[(2, 3)]["status"] == "done"
-
-
-def test_env_precision_overrides(monkeypatch, tmp_path):
-    monkeypatch.setenv("SQS_START_BITS", "256")
-    monkeypatch.setenv("SQS_MAX_BITS", "8192")
-    out = tmp_path / "env.json"
-    assert main(["pair", "--p", "2", "--q", "3", "--json", str(out)]) == 0
-    rec = json.loads(out.read_text())
-    assert rec["triples"] == [[1, 3, 5], [1, 5, 7], [1, 7, 23], [1, 15, 17], [1, 31, 47]]
-
-
-@pytest.mark.parametrize("name,value", [
-    ("SQS_START_BITS", "8"),
-    ("SQS_START_BITS", "abc"),
-    ("SQS_MAX_BITS", "64"),
-])
-def test_env_precision_rejected_as_usage_error(monkeypatch, tmp_path, capsys, name, value):
-    monkeypatch.setenv(name, value)
-    ck = tmp_path / "bad_env.jsonl"
-    assert main(["pair", "--p", "2", "--q", "3"]) == 3
-    assert main(["sweep", "--p", "2", "--q-min", "3", "--q-max", "20",
-                 "--checkpoint", str(ck)]) == 3
-    assert not ck.exists()  # refused before any pair ran
-    assert name in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_without_runtime_warning():

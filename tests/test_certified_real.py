@@ -60,17 +60,6 @@ def test_rational_operand_is_coerced_tightly(x, r):
         assert out.lo <= min(products) and max(products) <= out.hi
 
 
-@settings(max_examples=300)
-@given(enclosures(), RATIONAL)
-def test_rtruediv_encloses_exact_quotients(x, r):
-    if x.m_lo <= 0 <= x.m_hi:
-        with pytest.raises(ZeroDivisionError):
-            r / x
-        return
-    quotients = [r / x.lo, r / x.hi]
-    assert_tight(r / x, min(quotients), max(quotients), x.w)
-
-
 @given(enclosures(), st.integers(min_value=1, max_value=64), MANTISSA)
 def test_mixed_scales_raise(x, shift, m):
     y = CertifiedReal(m, m, x.w + shift)

@@ -5,13 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from sqsearch import diolog
 from sqsearch.arith import PrimePair
 from sqsearch.diolog import (
     Convergent,
     PrecisionError,
-    PrecisionPolicy,
     certified_log,
-    cf_convergents,
     linear_form_gap,
     log_of_fraction,
 )
@@ -19,6 +18,14 @@ from sqsearch.diolog import (
 mp.dps = 60
 
 PAIR_23 = PrimePair.of(2, 3)
+
+
+def cf_convergents(p, q, Q_cut, P_cut, bits=256):
+    # The continued-fraction expansion that linear_form_gap runs, at one
+    # fixed precision: convergents of log q / log p with Q < Q_cut and
+    # P < P_cut, plus the first one past either cutoff.
+    return diolog._expand(certified_log(p, bits), certified_log(q, bits),
+                          Fraction(Q_cut), Fraction(P_cut))
 
 
 def mp_contains(enclosure, value):
@@ -185,34 +192,24 @@ def test_convergent_type_is_hashable_record():
     assert hash(c) == hash(Convergent(P=3, Q=2))
 
 
-def test_linear_form_gap_escalates_from_low_start():
-    policy = PrecisionPolicy(start_bits=16, max_bits=16384)
-    cert = linear_form_gap(PAIR_23, 10 ** 6, policy)
+def test_linear_form_gap_escalates_from_low_start(monkeypatch):
+    monkeypatch.setattr(diolog, "START_BITS", 16)
+    cert = linear_form_gap(PAIR_23, 10 ** 6)
     assert cert.delta > 0
     assert cert.precision_bits > 16
 
 
-def test_linear_form_gap_precision_exhaustion():
-    policy = PrecisionPolicy(start_bits=32, max_bits=64)
+def test_linear_form_gap_precision_exhaustion(monkeypatch):
+    monkeypatch.setattr(diolog, "START_BITS", 32)
+    monkeypatch.setattr(diolog, "MAX_BITS", 64)
     with pytest.raises(PrecisionError):
-        linear_form_gap(PAIR_23, Fraction(16, 10) * 10 ** 30, policy)
+        linear_form_gap(PAIR_23, Fraction(16, 10) * 10 ** 30)
 
 
 def test_cf_convergents_explicit_bits_consistent():
-    a = cf_convergents(2, 3, Q_cut=10 ** 9, P_cut=10 ** 9)
-    b = cf_convergents(2, 3, Q_cut=10 ** 9, P_cut=10 ** 9,
-                       policy=PrecisionPolicy(start_bits=512))
+    a = cf_convergents(2, 3, Q_cut=10 ** 9, P_cut=10 ** 9, bits=256)
+    b = cf_convergents(2, 3, Q_cut=10 ** 9, P_cut=10 ** 9, bits=512)
     assert a == b
-
-
-def test_cf_convergents_escalates_through_ladder():
-    # 16 bits cannot resolve the partial quotients out to Q ~ 10^12, so the
-    # expansion only succeeds by climbing the ladder.
-    cut = dict(Q_cut=10 ** 12, P_cut=10 ** 12)
-    with pytest.raises(PrecisionError):
-        cf_convergents(2, 3, **cut, policy=PrecisionPolicy(start_bits=16, max_bits=16))
-    low = cf_convergents(2, 3, **cut, policy=PrecisionPolicy(start_bits=16))
-    assert low == cf_convergents(2, 3, **cut)
 
 
 WIDE = st.integers(min_value=1, max_value=(1 << 512) - 1)

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from sqsearch import diolog
 from sqsearch.arith import PrimePair
-from sqsearch.diolog import PrecisionError, PrecisionPolicy
+from sqsearch.diolog import PrecisionError, linear_form_gap
 from sqsearch.reduce import (
     exponent_box,
     initial_bound,
@@ -150,16 +151,28 @@ def test_exponent_box_rounding_direction():
     assert fine.b_cap <= coarse.b_cap
 
 
-def test_reduce_full_respects_custom_policy():
-    policy = PrecisionPolicy(start_bits=256, max_bits=16384)
-    trace = reduce_full(PAIR_23, policy)
+def test_reduce_full_respects_custom_policy(monkeypatch):
+    monkeypatch.setattr(diolog, "START_BITS", 256)
+    trace = reduce_full(PAIR_23)
     assert Fraction(17) <= trace.final_bound <= Fraction(22)
 
 
-def test_reduce_full_precision_cap_below_initial_bound_floor():
-    # initial_bound works at a fixed floor of 128 bits, above this cap.
+def test_reduce_full_precision_cap_below_initial_bound_floor(monkeypatch):
+    # initial_bound reads reduce's own START_BITS and still works at 128
+    # bits; the first gap, at B0 ~ 1.6e30, needs more than this cap.
+    monkeypatch.setattr(diolog, "START_BITS", 32)
+    monkeypatch.setattr(diolog, "MAX_BITS", 64)
     with pytest.raises(PrecisionError):
-        reduce_full(PAIR_23, PrecisionPolicy(start_bits=32, max_bits=64))
+        reduce_full(PAIR_23)
+
+
+def test_default_ladder_climbs_on_real_input():
+    # {2,3}'s first gap, at B0 ~ 1.6e30, is undecided at 128 bits and is
+    # certified one rung up; at the final bound 128 bits suffice.
+    trace = reduce_full(PAIR_23)
+    assert linear_form_gap(PAIR_23, initial_bound(PAIR_23)).precision_bits == 256
+    assert linear_form_gap(PAIR_23, trace.final_bound).precision_bits == 128
+    assert trace.precision_bits == 128
 
 
 # initial_bound and the exact delta of every reduction step, as the pipeline
@@ -207,13 +220,14 @@ def test_initial_bound_and_deltas_pinned(pq):
     assert tuple(s.delta for s in trace.steps) == tuple(map(Fraction, deltas))
 
 
-def test_low_rung_reduction_reads_constants_at_its_rung():
+def test_low_rung_reduction_reads_constants_at_its_rung(monkeypatch):
     # Gaps certified at 16 bits make _b1_b2 read the pair constants at 16
-    # bits, while initial_bound still reads them at its 128-bit floor.
-    policy = PrecisionPolicy(start_bits=16)
-    trace = reduce_full(PAIR_23, policy)
+    # bits, while initial_bound, through reduce's own START_BITS, still
+    # reads them at 128 bits.
+    monkeypatch.setattr(diolog, "START_BITS", 16)
+    trace = reduce_full(PAIR_23)
     assert trace.precision_bits == 16
     assert Fraction(17) <= trace.final_bound <= Fraction(22)
-    report = search_pair(PAIR_23, policy)
+    report = search_pair(PAIR_23)
     assert [(t.a, t.b, t.c) for t in report.triples] == [
         (1, 3, 5), (1, 5, 7), (1, 7, 23), (1, 15, 17), (1, 31, 47)]
