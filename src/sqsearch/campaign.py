@@ -157,6 +157,14 @@ class SweepSpec:
     checkpoint_path: Path | None = None
     max_pairs: int | None = None
 
+    def __post_init__(self):
+        # Either would run short of the pair list without an error: a sweep
+        # capped before its last pair, or a silently serial run.
+        for name, n in (("max_pairs (--max)", self.max_pairs),
+                        ("workers (--workers)", self.workers)):
+            if n is not None and n < 1:
+                raise ValueError(f"{name} must be at least 1, got {n}")
+
 
 @dataclass
 class SweepSummary:
@@ -345,17 +353,17 @@ def _exit_code(notable: bool, errors: int) -> int:
 def _cmd_sweep(args) -> int:
     if not is_prime(args.p) and not args.all_pairs:
         raise _UsageError(f"{args.p} is not prime")
-    for flag, n in (("--max", args.max), ("--workers", args.workers)):
-        if n is not None and n < 1:
-            raise _UsageError(f"{flag} must be at least 1, got {n}")
-    spec = SweepSpec(
-        mode="all-pairs" if args.all_pairs else "fixed-p",
-        p_fixed=None if args.all_pairs else args.p,
-        q_min=args.q_min, q_max=args.q_max,
-        skip_33=args.skip_33, workers=args.workers,
-        checkpoint_path=Path(args.checkpoint) if args.checkpoint else None,
-        max_pairs=args.max,
-    )
+    try:
+        spec = SweepSpec(
+            mode="all-pairs" if args.all_pairs else "fixed-p",
+            p_fixed=None if args.all_pairs else args.p,
+            q_min=args.q_min, q_max=args.q_max,
+            skip_33=args.skip_33, workers=args.workers,
+            checkpoint_path=Path(args.checkpoint) if args.checkpoint else None,
+            max_pairs=args.max,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     summary = sweep(spec, force_restart=args.force_restart)
     print(f"pairs total      : {summary.pairs_total}")
     print(f"pairs resumed    : {summary.pairs_skipped}")

@@ -37,6 +37,7 @@ __all__ = [
 STOP_RATIO = Fraction(1, 10)
 
 _BISECTION_REL = 1000  # initial-bound bisection to relative width 1/1000
+_CAP = 1 << 4096  # initial bound: no crossing at or below it means out of range
 
 
 @dataclass(frozen=True)
@@ -84,41 +85,51 @@ def _log_of_enclosure(x: CertifiedReal, bits: int) -> CertifiedReal:
 
 
 @lru_cache(maxsize=256)
-def _pair_constants(p: int, q: int, bits: int) -> tuple[CertifiedReal, ...]:
-    # Enclosures at one rung of log p, log q, ln(log p * log q) and the
-    # majorant's leading factor c = 1.36e23 * (log p * log q)^3.
+def _pair_constants(p: int, q: int, bits: int) -> tuple:
+    # Enclosures at one rung of log p, log q, ln(log p * log q), the
+    # majorant's leading factor c = 1.36e23 * (log p * log q)^3 and its three
+    # offsets 1.63, 2.71 and 2.08 - ln(log p * log q).
     lp = certified_log(p, bits)
     lq = certified_log(q, bits)
     lpq = lp * lq
     c = Fraction(136, 100) * 10 ** 23 * lpq * lpq * lpq
-    return lp, lq, _log_of_enclosure(lpq, bits), c
+    ln_lpq = _log_of_enclosure(lpq, bits)
+    o1, o2, o3 = (CertifiedReal(0, 0, ln_lpq.w) + Fraction(n, 100) for n in (163, 271, 208))
+    return lp, lq, ln_lpq, c, (o1, o2, o3 - ln_lpq)
 
 
 def _f_upper(x: int, pair: PrimePair, bits: int) -> Fraction:
     # Upper endpoint of the Baker-type majorant evaluated at log d = x.
-    _, _, ln_lpq, c = _pair_constants(pair.p, pair.q, bits)
-    lx = log_of_fraction(Fraction(x), bits)
-    t1 = lx + Fraction(163, 100)
-    t2 = lx + Fraction(271, 100)
-    t3 = lx + Fraction(208, 100) - ln_lpq
-    f = c * t1 * t2 * (t3 * t3)
-    return f.hi
+    *_, c, (o1, o2, o3) = _pair_constants(pair.p, pair.q, bits)
+    lx = log_of_fraction(x, bits)
+    t3 = lx + o3
+    return (c * (lx + o1) * (lx + o2) * (t3 * t3)).hi
 
 
 def initial_bound(pair: PrimePair) -> Fraction:
-    """Certified upper bound for the crossing point of the Baker-type
-    inequality, so that every solution satisfies log d < initial_bound.
+    """Certified B0 with log d < B0 for every solution, where F(B0) < B0.
 
-    Exponential doubling brackets the crossing, integer bisection tightens it
-    to relative width 1/1000, and the certified side is always the one that
-    proves F(x) < x.  The majorant is evaluated at START_BITS.
+    Four steps x <- ceil(F(x)) from the cap 2^4096 pick hi on the grid
+    16 * 2^k; hi steps down while F(hi/2) < hi/2 and up while F(hi) >= hi,
+    and integer bisection tightens [hi/2, hi] to relative width 1/1000.  F
+    is the majorant at START_BITS, evaluated at B0 itself.  B0 equals an
+    upward scan's from 16 whenever the grid has one crossing x*, as that
+    scan assumed: above x*, t3 = ln x + 2.08 - ln(log p log q) > 0, so F
+    increases up to the cap and the iterates fall monotonically to x*.
+    Near 16, where t3 < 0 for large p and q, F need not increase, and the
+    stepping loops settle the bracket.
     """
-    lo, hi = 4, 16
+    x = _CAP
+    for _ in range(4):
+        x = -(-_f_upper(x, pair, START_BITS) // 1)
+    hi = min(_CAP, 16 << ((x - 1) // 16).bit_length())
+    while hi > 16 and _f_upper(hi // 2, pair, START_BITS) < hi // 2:
+        hi //= 2
     while not _f_upper(hi, pair, START_BITS) < hi:
-        lo = hi
         hi *= 2
-        if hi > 1 << 4096:
+        if hi > _CAP:
             raise ArithmeticError("no crossing found; inputs out of range")
+    lo = hi // 2 if hi > 16 else 4
     while hi - lo > max(1, hi // _BISECTION_REL):
         mid = (lo + hi) // 2
         if _f_upper(mid, pair, START_BITS) < mid:
@@ -131,7 +142,7 @@ def initial_bound(pair: PrimePair) -> Fraction:
 def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction, Fraction]:
     # ln(y / (log p * log q)) = ln y - ln(log p * log q) <= (ln y).hi - ln_lpq.lo.
     bits = cert.precision_bits
-    lp, lq, ln_lpq, _ = _pair_constants(pair.p, pair.q, bits)
+    lp, lq, ln_lpq, *_ = _pair_constants(pair.p, pair.q, bits)
     b1_gap = log_of_fraction(2 / cert.delta, bits).hi
     b1_size = (log_of_fraction(8 * B, bits) - ln_lpq).hi
     B1 = max(b1_gap, b1_size)

@@ -235,6 +235,16 @@ def test_cli_inputs_that_would_hide_results(tmp_path, monkeypatch, capsys, argv,
     assert not ck.exists()
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_pairs": -1}, {"max_pairs": 0}, {"workers": 0}, {"workers": -2},
+])
+def test_sweep_spec_refuses_inputs_that_would_hide_results(kwargs):
+    # Accepted, sweep(SweepSpec(q_max=20, max_pairs=-1)) would report 6 of
+    # its 7 pairs with no error, and workers below 1 would run serially.
+    with pytest.raises(ValueError, match="must be at least 1"):
+        SweepSpec(mode="all-pairs", q_min=3, q_max=20, **kwargs)
+
+
 def test_cli_bad_arguments():
     assert main(["pair", "--p", "2"]) == 3
     assert main(["nonsense"]) == 3

@@ -2,10 +2,13 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from sqsearch import diolog
-from sqsearch.arith import PrimePair
+from sqsearch import reduce as reduce_module
+from sqsearch.arith import PrimePair, is_prime
 from sqsearch.diolog import PrecisionError, linear_form_gap
 from sqsearch.reduce import (
     exponent_box,
@@ -231,3 +234,76 @@ def test_low_rung_reduction_reads_constants_at_its_rung(monkeypatch):
     report = search_pair(PAIR_23)
     assert [(t.a, t.b, t.c) for t in report.triples] == [
         (1, 3, 5), (1, 5, 7), (1, 7, 23), (1, 15, 17), (1, 31, 47)]
+
+
+def doubling_initial_bound(pair):
+    # The upward grid scan that initial_bound's fixed-point start replaced:
+    # double hi from 16 until F(hi) < hi, then the same bisection.
+    f = reduce_module._f_upper
+    bits = reduce_module.START_BITS
+    lo, hi = 4, 16
+    while not f(hi, pair, bits) < hi:
+        lo = hi
+        hi *= 2
+        if hi > 1 << 4096:
+            raise ArithmeticError("no crossing found; inputs out of range")
+    while hi - lo > max(1, hi // 1000):
+        mid = (lo + hi) // 2
+        if f(mid, pair, bits) < mid:
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(hi)
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+_PRIMES_BELOW_1E6 = st.integers(min_value=2, max_value=999_983).map(_next_prime)
+
+
+@given(_PRIMES_BELOW_1E6, _PRIMES_BELOW_1E6)
+@settings(max_examples=40, deadline=None)
+def test_initial_bound_equals_doubling_scan(a, b):
+    assume(a != b)
+    pair = PrimePair.of(min(a, b), max(a, b))
+    assert initial_bound(pair) == doubling_initial_bound(pair)
+
+
+@pytest.mark.parametrize("majorant", [
+    lambda x: x // 2 + 1000,  # iterates stay far above the crossing
+    lambda x: 20 if x < 30 or x >= 200 else 1000,  # iterates land below it
+], ids=["steps-down", "steps-up"])
+def test_initial_bound_stepping_loops_match_doubling_scan(monkeypatch, majorant):
+    # On the real majorant four iterates almost always land on the scan's
+    # grid point; these stand-ins make each stepping loop do the work.
+    monkeypatch.setattr(reduce_module, "_f_upper",
+                        lambda x, pair, bits: Fraction(majorant(x)))
+    assert initial_bound(PAIR_23) == doubling_initial_bound(PAIR_23)
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (3, 5), (281, 293), (2, 9973),
+                                (99989, 99991), (2, 999999937)],
+                         ids=lambda pq: f"{pq[0]}-{pq[1]}")
+def test_initial_bound_majorant_evaluations(monkeypatch, pq):
+    # The doubling scan took about 126 evaluations per pair.
+    calls = []
+    f = reduce_module._f_upper
+
+    def counting(x, pair, bits):
+        calls.append(x)
+        return f(x, pair, bits)
+
+    monkeypatch.setattr(reduce_module, "_f_upper", counting)
+    initial_bound(PrimePair.of(*pq))
+    assert len(calls) <= 20
+
+
+def test_initial_bound_out_of_range_raises(monkeypatch):
+    # F(x) >= x everywhere: no crossing at or below the cap 2^4096.
+    monkeypatch.setattr(reduce_module, "_f_upper", lambda x, pair, bits: Fraction(x))
+    with pytest.raises(ArithmeticError, match="out of range"):
+        initial_bound(PAIR_23)
