@@ -364,6 +364,9 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    if not _pair_list(spec):
+        # A sweep of nothing would certify nothing and still exit 0.
+        raise _UsageError(f"no prime pair for --q-min {args.q_min} and --q-max {args.q_max}")
     summary = sweep(spec, force_restart=args.force_restart)
     print(f"pairs total      : {summary.pairs_total}")
     print(f"pairs resumed    : {summary.pairs_skipped}")

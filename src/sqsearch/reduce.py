@@ -19,6 +19,7 @@ from .diolog import (
     certified_log,
     linear_form_gap,
     log_of_fraction,
+    product,
 )
 
 __all__ = [
@@ -76,34 +77,31 @@ class ExponentBox:
     b_cap: int
 
 
-def _log_of_enclosure(x: CertifiedReal, bits: int) -> CertifiedReal:
-    # ln of an enclosure, outward rounded, at the scale of `bits`;
-    # log_of_fraction rejects a low end <= 0.
-    lo = log_of_fraction(x.lo, bits)
-    hi = log_of_fraction(x.hi, bits)
-    return CertifiedReal(lo.m_lo, hi.m_hi, lo.w)
-
-
 @lru_cache(maxsize=256)
 def _pair_constants(p: int, q: int, bits: int) -> tuple:
-    # Enclosures at one rung of log p, log q, ln(log p * log q), the
-    # majorant's leading factor c = 1.36e23 * (log p * log q)^3 and its three
-    # offsets 1.63, 2.71 and 2.08 - ln(log p * log q).
+    # The rung's scale w, and (lo, hi) mantissas at 2^-w of log p, log q,
+    # ln(log p * log q), the majorant's leading factor c = 1.36e23 * (log p *
+    # log q)^3 and its three offsets 1.63, 2.71 and 2.08 - ln(log p * log q).
     lp = certified_log(p, bits)
     lq = certified_log(q, bits)
     lpq = lp * lq
     c = Fraction(136, 100) * 10 ** 23 * lpq * lpq * lpq
-    ln_lpq = _log_of_enclosure(lpq, bits)
-    o1, o2, o3 = (CertifiedReal(0, 0, ln_lpq.w) + Fraction(n, 100) for n in (163, 271, 208))
-    return lp, lq, ln_lpq, c, (o1, o2, o3 - ln_lpq)
+    # ln of the enclosure lpq, outward rounded.
+    ln_lpq = CertifiedReal(log_of_fraction(lpq.lo, bits).m_lo,
+                           log_of_fraction(lpq.hi, bits).m_hi, lp.w)
+    o1, o2, o3 = (CertifiedReal(0, 0, lp.w) + Fraction(n, 100) for n in (163, 271, 208))
+    return lp.w, *((x.m_lo, x.m_hi) for x in (lp, lq, ln_lpq, c, o1, o2, o3 - ln_lpq))
 
 
 def _f_upper(x: int, pair: PrimePair, bits: int) -> Fraction:
-    # Upper endpoint of the Baker-type majorant evaluated at log d = x.
-    *_, c, (o1, o2, o3) = _pair_constants(pair.p, pair.q, bits)
+    # Upper endpoint of the Baker-type majorant evaluated at log d = x, as
+    # c * (lx + 1.63) * (lx + 2.71) * (t3 * t3) with t3 = lx + o3, each
+    # product rounded outward on the mantissas.
+    w, *_, c, o1, o2, o3 = _pair_constants(pair.p, pair.q, bits)
     lx = log_of_fraction(x, bits)
-    t3 = lx + o3
-    return (c * (lx + o1) * (lx + o2) * (t3 * t3)).hi
+    t1, t2, t3 = ((lx.m_lo + o[0], lx.m_hi + o[1]) for o in (o1, o2, o3))
+    f = product(product(product(c, t1, w), t2, w), product(t3, t3, w), w)
+    return Fraction(f[1], 1 << w)
 
 
 def initial_bound(pair: PrimePair) -> Fraction:
@@ -140,15 +138,17 @@ def initial_bound(pair: PrimePair) -> Fraction:
 
 
 def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction, Fraction]:
-    # ln(y / (log p * log q)) = ln y - ln(log p * log q) <= (ln y).hi - ln_lpq.lo.
+    # B1 = max(ln(2/delta), ln(8B / (log p log q))) and B2 = 2 B1 + u_q log q +
+    # u_p log p + ln(2 B1^2 / (log p log q)), each log at its high end and
+    # ln(y / (log p log q)) <= (ln y).hi - ln_lpq.lo; mantissas at 2^-w.
     bits = cert.precision_bits
-    lp, lq, ln_lpq, *_ = _pair_constants(pair.p, pair.q, bits)
-    b1_gap = log_of_fraction(2 / cert.delta, bits).hi
-    b1_size = (log_of_fraction(8 * B, bits) - ln_lpq).hi
-    B1 = max(b1_gap, b1_size)
-    tail = (log_of_fraction(2 * B1 * B1, bits) - ln_lpq).hi
-    B2 = 2 * B1 + pair.u_q * lq.hi + pair.u_p * lp.hi + tail
-    return B1, B2
+    w, lp, lq, ln_lpq, *_ = _pair_constants(pair.p, pair.q, bits)
+    b1_gap = log_of_fraction(2 / cert.delta, bits).m_hi
+    b1_size = log_of_fraction(8 * B, bits).m_hi - ln_lpq[0]
+    b1 = max(b1_gap, b1_size)
+    tail = log_of_fraction(Fraction(2 * b1 * b1, 1 << 2 * w), bits).m_hi - ln_lpq[0]
+    b2 = 2 * b1 + pair.u_q * lq[1] + pair.u_p * lp[1] + tail
+    return Fraction(b1, 1 << w), Fraction(b2, 1 << w)
 
 
 def reduce_once(pair: PrimePair, B) -> ReductionStep:

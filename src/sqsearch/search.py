@@ -277,6 +277,8 @@ def brute_force_oracle(pair: PrimePair, N: int, m: int) -> list[tuple[int, ...]]
             v *= pair.q
         pa *= pair.p
     units.sort()
+    # Larger neighbours of each vertex; vertices with none are left out, so
+    # memory follows the edges, not N.
     neighbors: dict[int, list[int]] = {}
     for a in range(1, N + 1):
         nb = []
@@ -285,7 +287,8 @@ def brute_force_oracle(pair: PrimePair, N: int, m: int) -> list[tuple[int, ...]]
                 b = (s - 1) // a
                 if as_s_unit(a * b + 1, pair) is not None:
                     nb.append(b)
-        neighbors[a] = nb
+        if nb:
+            neighbors[a] = nb
     out: list[tuple[int, ...]] = []
 
     def grow(prefix: tuple[int, ...], common: list[int]) -> None:
@@ -294,11 +297,11 @@ def brute_force_oracle(pair: PrimePair, N: int, m: int) -> list[tuple[int, ...]]
             return
         for x in common:
             grow(prefix + (x,),
-                 [y for y in common if y > x and y in _sets[x]])
+                 [y for y in common if y > x and y in _sets.get(x, ())])
 
     _sets = {a: set(nb) for a, nb in neighbors.items()}
-    for a in range(1, N + 1):
-        grow((a,), neighbors[a])
+    for a, nb in neighbors.items():
+        grow((a,), nb)
     return sorted(out)
 
 

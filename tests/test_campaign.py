@@ -220,10 +220,15 @@ def test_cli_oracle_usage_errors(capsys, argv, message):
     (["sweep", "--q-min", "3", "--q-max", "20", "--max", "0"], "--max"),
     (["sweep", "--q-min", "3", "--q-max", "20", "--workers", "0"], "--workers"),
     (["sweep", "--q-min", "3", "--q-max", "20", "--workers", "-2"], "--workers"),
+    (["sweep", "--q-min", "100", "--q-max", "10"], "no prime pair"),
+    (["sweep", "--q-min", "24", "--q-max", "28"], "no prime pair"),
+    (["sweep", "--all-pairs", "--q-min", "3", "--q-max", "4"], "no prime pair"),
+    (["sweep", "--all-pairs", "--skip-33", "--q-min", "19", "--q-max", "23"], "no prime pair"),
 ])
 def test_cli_inputs_that_would_hide_results(tmp_path, monkeypatch, capsys, argv, message):
     # Accepted, each would exit 0 with output that hides results: an empty
-    # report, a sweep short of its last pair, a silently serial run.
+    # report, a sweep short of its last pair, a silently serial run, a sweep
+    # over a range with no pair.
     monkeypatch.chdir(tmp_path)
     ck = tmp_path / "refused.jsonl"
     if argv[0] == "sweep":

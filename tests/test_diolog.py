@@ -264,3 +264,85 @@ def test_cf_convergents_integer_cutoffs_match_fraction_comparison():
             assert cf_convergents(2, 3, Q_cut, big) == selected(Q_cut, big)
             P_cut = Fraction(c.P) + shift
             assert cf_convergents(2, 3, big, P_cut) == selected(big, P_cut)
+
+
+def mp_ln(x):
+    with mp.workprec(1200):
+        return mpf_to_fraction(mp.log(mp.mpf(x.numerator) / mp.mpf(x.denominator)))
+
+
+@st.composite
+def near_table_point(draw):
+    # r = 1 + i/32, exactly or 2^-300 either side, times 2^e.
+    i = draw(st.integers(0, 31))
+    side = draw(st.sampled_from((-1, 0, 1)))
+    r = Fraction(32 + i, 32) + side * Fraction(1, 1 << 300)
+    return r * Fraction(2) ** draw(st.integers(-600, 600))
+
+
+_TIGHT_BITS = 128
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_table_point(),
+                 st.fractions(min_value=Fraction(1, 1 << 40), max_value=1 << 40)),
+       st.sampled_from((16, 128, 256, 1024)))
+@example(Fraction(2) - Fraction(1, 1 << 300), 1024)  # r just below 2
+@example(Fraction(1), 16)                            # n = d
+@example(Fraction(3, 4), 256)                        # n < d
+@example(Fraction(129, 127), _TIGHT_BITS)            # x = 2^-7 exactly: whole terms
+# x = 2^-w exactly: one whole term, so only the tail rule keeps hi above ln.
+@example(Fraction((1 << _TIGHT_BITS + diolog._GUARD_BITS) + 1,
+                  (1 << _TIGHT_BITS + diolog._GUARD_BITS) - 1), _TIGHT_BITS)
+def test_log_of_fraction_table_reduction_encloses_ln(x, bits):
+    enc = log_of_fraction(x, bits)
+    ln = mp_ln(x)
+    slack = Fraction(1, 1 << 1100)  # mpmath's own rounding at 1200 bits
+    assert enc.lo - slack <= ln <= enc.hi + slack
+    assert enc.width <= Fraction(1, 1 << bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=1, max_value=1 + Fraction(1, 32), max_denominator=1 << 512),
+       st.sampled_from((16, 128, 256, 1024)))
+def test_log_of_fraction_first_table_interval_is_tight(x, bits):
+    # Below 1 + 1/32 neither ln 2 nor the table adds slack, so the series'
+    # own floors and ceilings decide which side of ln(x) each end falls.
+    enc = log_of_fraction(x, bits)
+    ln = mp_ln(x)
+    slack = Fraction(1, 1 << 1100)
+    assert enc.lo - slack <= ln <= enc.hi + slack
+
+
+def exact_series_log(n, w):
+    # ln(n) * 2^w by the exact-ratio atanh series, copied from the reduction
+    # certified_log uses: n = 2^e * r with r in [1, 2), and ln(r) =
+    # 2 atanh((r-1)/(r+1)) with (floor, ceil) powers of the exact ratio.
+    def atanh(a, b):
+        if a == 0:
+            return 0, 0
+        lo, hi = (a << w) // b, -((-(a << w)) // b)
+        s_lo = s_hi = 0
+        d = 1
+        while True:
+            s_lo += lo // d
+            s_hi += -((-hi) // d)
+            if hi <= 8:
+                return s_lo, s_hi + 2
+            lo = lo * a * a // (b * b)
+            hi = -((-hi * a * a) // (b * b))
+            d += 2
+
+    e = n.bit_length() - 1
+    l2_lo, l2_hi = atanh(1, 3)
+    at_lo, at_hi = atanh(n - (1 << e), n + (1 << e))
+    return 2 * e * l2_lo + 2 * at_lo, 2 * e * l2_hi + 2 * at_hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 1 << 64), st.sampled_from((16, 128, 256, 1024)))
+@example(2, 128)
+@example(3, 256)
+def test_certified_log_keeps_the_exact_series(n, bits):
+    enc = certified_log(n, bits)
+    assert (enc.m_lo, enc.m_hi) == exact_series_log(n, enc.w)

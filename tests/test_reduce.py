@@ -307,3 +307,41 @@ def test_initial_bound_out_of_range_raises(monkeypatch):
     monkeypatch.setattr(reduce_module, "_f_upper", lambda x, pair, bits: Fraction(x))
     with pytest.raises(ArithmeticError, match="out of range"):
         initial_bound(PAIR_23)
+
+
+def enclosure_formulas(pair, x, B, cert):
+    # _f_upper and _b1_b2 as CertifiedReal and Fraction formulas over the same
+    # log enclosures that the integer code reads.
+    from sqsearch.diolog import CertifiedReal, certified_log, log_of_fraction
+
+    def at(bits):
+        lp, lq = certified_log(pair.p, bits), certified_log(pair.q, bits)
+        lpq = lp * lq
+        ln_lpq = CertifiedReal(log_of_fraction(lpq.lo, bits).m_lo,
+                               log_of_fraction(lpq.hi, bits).m_hi, lp.w)
+        return lp, lq, lpq, ln_lpq
+
+    lp, lq, lpq, ln_lpq = at(reduce_module.START_BITS)
+    c = Fraction(136, 100) * 10 ** 23 * lpq * lpq * lpq
+    lx = log_of_fraction(x, reduce_module.START_BITS)
+    t3 = lx + Fraction(208, 100) - ln_lpq
+    F = (c * (lx + Fraction(163, 100)) * (lx + Fraction(271, 100)) * (t3 * t3)).hi
+    bits = cert.precision_bits
+    lp, lq, lpq, ln_lpq = at(bits)
+    B1 = max(log_of_fraction(2 / cert.delta, bits).hi,
+             (log_of_fraction(8 * B, bits) - ln_lpq).hi)
+    tail = (log_of_fraction(2 * B1 * B1, bits) - ln_lpq).hi
+    B2 = 2 * B1 + pair.u_q * lq.hi + pair.u_p * lp.hi + tail
+    return F, B1, B2
+
+
+@given(_PRIMES_BELOW_1E6, _PRIMES_BELOW_1E6, st.integers(4, 1 << 128),
+       st.fractions(min_value=2, max_value=10 ** 36, max_denominator=10 ** 12))
+@settings(max_examples=40, deadline=None)
+def test_integer_chain_equals_enclosure_formulas(a, b, x, B):
+    assume(a != b)
+    pair = PrimePair.of(min(a, b), max(a, b))
+    cert = linear_form_gap(pair, B)
+    F, B1, B2 = enclosure_formulas(pair, x, B, cert)
+    assert reduce_module._f_upper(x, pair, reduce_module.START_BITS) == F
+    assert reduce_module._b1_b2(pair, B, cert) == (B1, B2)
