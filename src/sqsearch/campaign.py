@@ -124,7 +124,9 @@ def load_checkpoint(path: Path) -> dict[tuple[int, int], dict]:
             continue
         try:
             rec = json.loads(line)
-            if not isinstance(rec, dict) or "p" not in rec or "q" not in rec:
+            # A record without a known status would count its pair as done.
+            if (not isinstance(rec, dict) or "p" not in rec or "q" not in rec
+                    or rec.get("status") not in ("done", "error")):
                 raise ValueError("missing fields")
         except ValueError as exc:
             raise CheckpointError(
@@ -320,10 +322,18 @@ def _report_json(report: PairReport) -> dict:
     return rec
 
 
+def _check_prime(n: int) -> None:
+    try:
+        prime = is_prime(n)
+    except ValueError as exc:  # beyond the deterministic primality range
+        raise _UsageError(str(exc)) from exc
+    if not prime:
+        raise _UsageError(f"{n} is not prime")
+
+
 def _check_pair_args(p: int, q: int) -> None:
     for r in (p, q):
-        if not is_prime(r):
-            raise _UsageError(f"{r} is not prime")
+        _check_prime(r)
     if p == q:
         raise _UsageError("p and q must be distinct")
 
@@ -351,8 +361,8 @@ def _exit_code(notable: bool, errors: int) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not is_prime(args.p) and not args.all_pairs:
-        raise _UsageError(f"{args.p} is not prime")
+    if not args.all_pairs:
+        _check_prime(args.p)
     try:
         spec = SweepSpec(
             mode="all-pairs" if args.all_pairs else "fixed-p",

@@ -1,10 +1,11 @@
 """Certified logarithms, continued fractions of log q / log p, and linear-form gaps.
 
-An enclosure is a pair of integer mantissas at one binary scale 2^-w, and
-every operation on it rounds outward with floor and ceiling, so each
-comparison made against it is exact and the whole module is deterministic
-bit for bit.  Logarithms are produced by an integer-only atanh series with
-directed rounding; nothing here touches floating point.
+An enclosure (CertifiedReal) is a record of two integer mantissas at one
+binary scale 2^-w.  Arithmetic on enclosures is done on those mantissas,
+with product as the one outward-rounded product, so each comparison made
+against a result is exact and the whole module is deterministic bit for
+bit.  Logarithms are produced by an integer-only atanh series with directed
+rounding; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ class PrecisionError(Exception):
 
 @dataclass(frozen=True)
 class CertifiedReal:
-    """Enclosure m_lo * 2^-w <= x <= m_hi * 2^-w of a real number.  Operands
-    must share the scale w; a rational operand becomes its tightest enclosure
-    at that scale, and products round outward."""
+    """Enclosure m_lo * 2^-w <= x <= m_hi * 2^-w of a real number.  A plain
+    record: arithmetic is done on (m_lo, m_hi) mantissa pairs at one scale,
+    products through product, and lo, hi and width are exact views."""
 
     m_lo: int
     m_hi: int
@@ -66,30 +67,6 @@ class CertifiedReal:
     @property
     def width(self) -> Fraction:
         return Fraction(self.m_hi - self.m_lo, 1 << self.w)
-
-    def _coerce(self, other) -> CertifiedReal:
-        if isinstance(other, CertifiedReal):
-            if other.w != self.w:
-                raise ValueError(f"enclosures at scales 2^-{self.w} and 2^-{other.w}")
-            return other
-        x = Fraction(other)
-        n = x.numerator << self.w
-        return CertifiedReal(n // x.denominator, -(-n // x.denominator), self.w)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return CertifiedReal(self.m_lo + other.m_lo, self.m_hi + other.m_hi, self.w)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return CertifiedReal(self.m_lo - other.m_hi, self.m_hi - other.m_lo, self.w)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return CertifiedReal(*product((self.m_lo, self.m_hi), (other.m_lo, other.m_hi),
-                                      self.w), self.w)
-
-    __rmul__ = __mul__
 
 
 def product(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
@@ -239,15 +216,12 @@ class _Ambiguous(Exception):
     pass
 
 
-def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: int | Fraction,
-            P_cut: int | Fraction) -> list[Convergent]:
+def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: int, P_cut: int) -> list[Convergent]:
     # All convergents of the enclosure lq / lp of log q / log p (both at one
     # scale) with Q < Q_cut and P < P_cut, plus the first one violating
     # either cutoff as a boundary guard; raises _Ambiguous when the
     # enclosure does not pin down a partial quotient.
     # Each end of the enclosure is kept as an exact ratio n / d of integers.
-    # Every Q and P is an integer, so Q < Q_cut exactly when Q < ceil(Q_cut).
-    Q_cut, P_cut = -(-Q_cut // 1), -(-P_cut // 1)
     n_lo, d_lo, n_hi, d_hi = lq.m_lo, lp.m_hi, lq.m_hi, lp.m_lo
     out: list[Convergent] = []
     P0, P1 = 1, 0   # P_{k-1}, P_{k-2}
@@ -313,7 +287,8 @@ def linear_form_gap(pair, B) -> GapCertificate:
     while bits <= MAX_BITS:
         lp = certified_log(p, bits)
         lq = certified_log(q, bits)
-        # Ceilings of 2B / lq.lo and 2B / lp.lo.
+        # Ceilings of 2B / lq.lo and 2B / lp.lo: every Q and P is an integer,
+        # so Q < 2B / lq.lo exactly when Q < Q_cut.
         Q_cut = -(-(2 * B.numerator << lq.w) // (B.denominator * lq.m_lo))
         P_cut = -(-(2 * B.numerator << lp.w) // (B.denominator * lp.m_lo))
         try:

@@ -14,7 +14,6 @@ from functools import lru_cache
 from .arith import PrimePair
 from .diolog import (
     START_BITS,
-    CertifiedReal,
     GapCertificate,
     certified_log,
     linear_form_gap,
@@ -82,15 +81,17 @@ def _pair_constants(p: int, q: int, bits: int) -> tuple:
     # The rung's scale w, and (lo, hi) mantissas at 2^-w of log p, log q,
     # ln(log p * log q), the majorant's leading factor c = 1.36e23 * (log p *
     # log q)^3 and its three offsets 1.63, 2.71 and 2.08 - ln(log p * log q).
-    lp = certified_log(p, bits)
-    lq = certified_log(q, bits)
-    lpq = lp * lq
-    c = Fraction(136, 100) * 10 ** 23 * lpq * lpq * lpq
+    lp, lq = certified_log(p, bits), certified_log(q, bits)
+    w, lp, lq = lp.w, (lp.m_lo, lp.m_hi), (lq.m_lo, lq.m_hi)
+    lpq = product(lp, lq, w)
+    # 1.36e23 is the integer k, so k * lpq is exact on the mantissas.
+    k = 136 * 10 ** 21
+    c = product(product((k * lpq[0], k * lpq[1]), lpq, w), lpq, w)
     # ln of the enclosure lpq, outward rounded.
-    ln_lpq = CertifiedReal(log_of_fraction(lpq.lo, bits).m_lo,
-                           log_of_fraction(lpq.hi, bits).m_hi, lp.w)
-    o1, o2, o3 = (CertifiedReal(0, 0, lp.w) + Fraction(n, 100) for n in (163, 271, 208))
-    return lp.w, *((x.m_lo, x.m_hi) for x in (lp, lq, ln_lpq, c, o1, o2, o3 - ln_lpq))
+    ln_lpq = (log_of_fraction(Fraction(lpq[0], 1 << w), bits).m_lo,
+              log_of_fraction(Fraction(lpq[1], 1 << w), bits).m_hi)
+    o1, o2, o3 = (((n << w) // 100, -(-(n << w) // 100)) for n in (163, 271, 208))
+    return w, lp, lq, ln_lpq, c, o1, o2, (o3[0] - ln_lpq[1], o3[1] - ln_lpq[0])
 
 
 def _f_upper(x: int, pair: PrimePair, bits: int) -> Fraction:

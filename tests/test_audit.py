@@ -4,12 +4,14 @@ The engine's outputs (ReductionTrace, GapCertificate, ExponentBox) are read
 as given; every number they are compared with is recomputed here with
 mpmath's outward-rounded interval context at 512 bits.  A comparison that
 fails is a bug, or a value that 512 bits cannot separate; either way it is
-investigated, never loosened.  Whether every convergent inside the cutoffs
-was listed is not audited here.
+investigated, never loosened.  The continued fraction of log q / log p is
+expanded here too, so a certificate that leaves out a convergent certainly
+inside its cutoffs fails as well.
 """
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -60,6 +62,25 @@ def b2_formula(pair, lp, lq, B1):
     return 2 * b1 + pair.u_q * lq + pair.u_p * lp + iv.log(2 * b1 ** 2 / (lp * lq))
 
 
+def convergents_inside(lp, lq, B):
+    # The convergents P/Q of log q / log p with Q < 2B / hi(log q) and
+    # P < 2B / hi(log p): certainly inside the reduction cutoffs.
+    Q_cut = ends(interval(2 * Fraction(B)) / lq)[0]
+    P_cut = ends(interval(2 * Fraction(B)) / lp)[0]
+    out = []
+    x = lq / lp
+    P0, P1, Q0, Q1 = 1, 0, 0, 1
+    while True:
+        lo, hi = ends(x)
+        a = lo // 1
+        assert hi // 1 == a, "512 bits do not pin down a partial quotient"
+        P0, P1, Q0, Q1 = a * P0 + P1, P0, a * Q0 + Q1, Q0
+        if not (Q0 < Q_cut and P0 < P_cut):
+            return out
+        out.append((P0, Q0))
+        x = 1 / (x - a)
+
+
 def audit(trace, box) -> None:
     """Raise AssertionError unless every bound of the chain and the box is
     at least its audited value."""
@@ -78,6 +99,9 @@ def audit(trace, box) -> None:
             for c in cert.convergents_checked:
                 low = ends(abs(c.P * lp - c.Q * lq))[0]
                 assert step.delta < low, f"step {i}: delta not below {c}"
+            listed = {(c.P, c.Q) for c in cert.convergents_checked}
+            for P, Q in convergents_inside(lp, lq, step.B_in):
+                assert (P, Q) in listed, f"step {i}: convergent {P}/{Q} not checked"
             assert step.B1 >= b1_high(lp, lq, step.B_in, step.delta), \
                 f"step {i}: B1 below its formula"
             B2 = ends(b2_formula(pair, lp, lq, step.B1))[1]
@@ -104,7 +128,10 @@ def _sample_pairs():
     pairs = [(2, 3), (3, 5), (281, 293), (2, 9973), (99989, 99991)]
     pairs += [(2, q) for q in rng.sample(q5, 15)]
     pairs += [tuple(sorted(rng.sample(odd, 2))) for _ in range(15)]
-    return pairs
+    # Drawn after the first 35, which stay the same pairs.
+    pairs += [(2, q) for q in rng.sample(q5, 8)]
+    pairs += [tuple(sorted(rng.sample(odd, 2))) for _ in range(7)]
+    return list(dict.fromkeys(pairs))
 
 
 @pytest.mark.parametrize("pq", _sample_pairs(), ids=lambda pq: f"{pq[0]}-{pq[1]}")
@@ -121,3 +148,30 @@ def test_audit_catches_a_lowered_b2():
     steps[1] = dataclasses.replace(steps[1], B2=steps[1].B2 * (1 - Fraction(1, 1 << 100)))
     with pytest.raises(AssertionError, match="B2 below its formula"):
         audit(dataclasses.replace(trace, steps=tuple(steps)), box)
+
+
+def _planted_gap(monkeypatch, edit):
+    # The audit module's linear_form_gap, returning edit(certificate).
+    real = linear_form_gap
+    monkeypatch.setattr(sys.modules[__name__], "linear_form_gap",
+                        lambda pair, B: edit(real(pair, B)))
+
+
+def test_audit_catches_a_delta_above_its_minimum(monkeypatch):
+    trace = reduce_full(PrimePair.of(2, 3))
+    box = exponent_box(trace)
+    # delta is 0.999 times a lower end within 2^-100 of the audited minimum,
+    # so twice delta is above that minimum.
+    _planted_gap(monkeypatch, lambda c: dataclasses.replace(c, delta=2 * c.delta))
+    steps = tuple(dataclasses.replace(s, delta=2 * s.delta) for s in trace.steps)
+    with pytest.raises(AssertionError, match="step 0: delta not below"):
+        audit(dataclasses.replace(trace, steps=steps), box)
+
+
+def test_audit_catches_a_dropped_convergent(monkeypatch):
+    trace = reduce_full(PrimePair.of(2, 3))
+    box = exponent_box(trace)
+    _planted_gap(monkeypatch, lambda c: dataclasses.replace(
+        c, convergents_checked=c.convergents_checked[1:]))
+    with pytest.raises(AssertionError, match="step 0: convergent 1/1 not checked"):
+        audit(trace, box)

@@ -174,6 +174,25 @@ def test_checkpoint_corrupt_middle_line_refuses(tmp_path):
         load_checkpoint(ck)
 
 
+@pytest.mark.parametrize("record", [
+    {"p": 2, "q": 3}, {"v": 1, "p": 2, "q": 3, "status": "running"},
+])
+def test_checkpoint_record_without_known_status_refuses(tmp_path, capsys, record):
+    # Accepted, a record without "done" or "error" would count {2, 3} as
+    # resumed, so a sweep would exit 0 without ever searching it.
+    ck = tmp_path / "nostatus.jsonl"
+    good = json.dumps({"v": 1, "p": 2, "q": 5, "status": "done", "triples": []})
+    ck.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    raw = ck.read_bytes()
+    for argv in (["sweep", "--p", "2", "--q-min", "3", "--q-max", "5", "--checkpoint", str(ck)],
+                 ["report", "--checkpoint", str(ck)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "corrupt checkpoint line 2" in captured.err
+        assert "pairs total" not in captured.out and '"pairs"' not in captured.out
+        assert ck.read_bytes() == raw
+
+
 def test_sweep_force_restart(tmp_path):
     ck = tmp_path / "force.jsonl"
     ck.write_text("garbage\n" + "x\n", encoding="utf-8")
@@ -199,6 +218,10 @@ def test_cli_oracle(capsys):
     assert "(1, 2, 4)" in out
 
 
+# Passes trial division, but is above the deterministic Miller-Rabin range.
+BEYOND_PRIMALITY_RANGE = 10 ** 25 + 13
+
+
 @pytest.mark.parametrize("argv,message", [
     (["oracle", "--p", "3", "--q", "3", "--max", "10", "--arity", "3"], "distinct"),
     (["oracle", "--p", "3", "--q", "5", "--max", "1", "--arity", "3"], "--max"),
@@ -206,6 +229,11 @@ def test_cli_oracle(capsys):
     (["verify-lemmas", "--p-max", "7", "--height", "1"], "--height"),
     (["verify-lemmas", "--p-max", "7", "--height", "300000"], "--height"),
     (["verify-lemmas", "--p-max", "2", "--height", "60"], "two primes"),
+    (["pair", "--p", "2", "--q", str(BEYOND_PRIMALITY_RANGE)], "primality range"),
+    (["oracle", "--p", "2", "--q", str(BEYOND_PRIMALITY_RANGE), "--max", "10", "--arity", "3"],
+     "primality range"),
+    (["sweep", "--p", str(BEYOND_PRIMALITY_RANGE), "--q-min", "3", "--q-max", "5"],
+     "primality range"),
 ])
 def test_cli_oracle_usage_errors(capsys, argv, message):
     assert main(argv) == 3

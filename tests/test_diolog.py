@@ -42,8 +42,7 @@ def test_certified_log_known_constants():
 def test_certified_log_ln8_is_three_ln2():
     e2 = certified_log(2, 64)
     e8 = certified_log(8, 64)
-    three = e2 * 3
-    assert three.lo <= e8.hi and e8.lo <= three.hi  # overlap forced by ln 8 = 3 ln 2
+    assert 3 * e2.lo <= e8.hi and e8.lo <= 3 * e2.hi  # overlap forced by ln 8 = 3 ln 2
 
 
 def test_certified_log_monotone_refinement():
@@ -245,9 +244,10 @@ def test_log_of_fraction_one_series_encloses_ln(nd, bits):
 
 
 def test_cf_convergents_integer_cutoffs_match_fraction_comparison():
-    # _expand compares the integer Q and P with the ceilings of the cutoffs;
-    # a cutoff on a convergent's Q or P, or 10^-30 either side of it, must
-    # select what comparing with the exact Fraction selects.
+    # linear_form_gap hands _expand the integer ceilings of its cutoffs, and
+    # _expand compares Q and P with whatever cutoff it is given; a cutoff on
+    # a convergent's Q or P, or 10^-30 either side of it, must select what
+    # comparing with the exact Fraction selects.
     big = 10 ** 20
     full = cf_convergents(2, 3, Q_cut=big, P_cut=big)
 

@@ -310,28 +310,44 @@ def test_initial_bound_out_of_range_raises(monkeypatch):
 
 
 def enclosure_formulas(pair, x, B, cert):
-    # _f_upper and _b1_b2 as CertifiedReal and Fraction formulas over the same
-    # log enclosures that the integer code reads.
-    from sqsearch.diolog import CertifiedReal, certified_log, log_of_fraction
+    # _f_upper and _b1_b2 as Fraction formulas over the same log enclosures
+    # that the integer code reads: intervals are (lo, hi) Fraction ends, and
+    # each product and constant is floored or ceiled at 2^-w.
+    from sqsearch.diolog import certified_log, log_of_fraction
+
+    def ends(e):
+        return e.lo, e.hi
 
     def at(bits):
-        lp, lq = certified_log(pair.p, bits), certified_log(pair.q, bits)
-        lpq = lp * lq
-        ln_lpq = CertifiedReal(log_of_fraction(lpq.lo, bits).m_lo,
-                               log_of_fraction(lpq.hi, bits).m_hi, lp.w)
-        return lp, lq, lpq, ln_lpq
+        lp, lq = ends(certified_log(pair.p, bits)), ends(certified_log(pair.q, bits))
+        w = bits + diolog._GUARD_BITS
 
-    lp, lq, lpq, ln_lpq = at(reduce_module.START_BITS)
-    c = Fraction(136, 100) * 10 ** 23 * lpq * lpq * lpq
-    lx = log_of_fraction(x, reduce_module.START_BITS)
-    t3 = lx + Fraction(208, 100) - ln_lpq
-    F = (c * (lx + Fraction(163, 100)) * (lx + Fraction(271, 100)) * (t3 * t3)).hi
+        def outward(lo, hi):
+            return (Fraction(lo * (1 << w) // 1, 1 << w),
+                    Fraction(-(-hi * (1 << w) // 1), 1 << w))
+
+        def mul(a, b):
+            products = [u * v for u in a for v in b]
+            return outward(min(products), max(products))
+
+        lpq = mul(lp, lq)
+        ln_lpq = (log_of_fraction(lpq[0], bits).lo, log_of_fraction(lpq[1], bits).hi)
+        return lp, lq, lpq, ln_lpq, outward, mul
+
+    lp, lq, lpq, ln_lpq, outward, mul = at(reduce_module.START_BITS)
+    k = 136 * 10 ** 21
+    c = mul(mul((k * lpq[0], k * lpq[1]), lpq), lpq)
+    lx = ends(log_of_fraction(x, reduce_module.START_BITS))
+    o1, o2, o3 = (outward(Fraction(n, 100), Fraction(n, 100)) for n in (163, 271, 208))
+    t1, t2 = ((lx[0] + o[0], lx[1] + o[1]) for o in (o1, o2))
+    t3 = (lx[0] + o3[0] - ln_lpq[1], lx[1] + o3[1] - ln_lpq[0])
+    F = mul(mul(mul(c, t1), t2), mul(t3, t3))[1]
     bits = cert.precision_bits
-    lp, lq, lpq, ln_lpq = at(bits)
+    lp, lq, lpq, ln_lpq, outward, mul = at(bits)
     B1 = max(log_of_fraction(2 / cert.delta, bits).hi,
-             (log_of_fraction(8 * B, bits) - ln_lpq).hi)
-    tail = (log_of_fraction(2 * B1 * B1, bits) - ln_lpq).hi
-    B2 = 2 * B1 + pair.u_q * lq.hi + pair.u_p * lp.hi + tail
+             log_of_fraction(8 * B, bits).hi - ln_lpq[0])
+    tail = log_of_fraction(2 * B1 * B1, bits).hi - ln_lpq[0]
+    B2 = 2 * B1 + pair.u_q * lq[1] + pair.u_p * lp[1] + tail
     return F, B1, B2
 
 
