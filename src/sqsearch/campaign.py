@@ -124,10 +124,13 @@ def load_checkpoint(path: Path) -> dict[tuple[int, int], dict]:
             continue
         try:
             rec = json.loads(line)
-            # A record without a known status would count its pair as done.
-            if (not isinstance(rec, dict) or "p" not in rec or "q" not in rec
+            # A record without a known status would count its pair as done,
+            # and a p or q that is no int (bool is none here) would fail
+            # later, in sorting or hashing, without naming its line.
+            if (not isinstance(rec, dict) or type(rec.get("p")) is not int
+                    or type(rec.get("q")) is not int
                     or rec.get("status") not in ("done", "error")):
-                raise ValueError("missing fields")
+                raise ValueError("missing or malformed fields")
         except ValueError as exc:
             raise CheckpointError(
                 f"corrupt checkpoint line {i + 1} in {path}; "
@@ -217,9 +220,14 @@ def _run_pair(task: tuple[int, int]) -> dict:
 def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
     """Run the pair list through workers, append one checkpoint record per
     completion, and resume past already-checkpointed pairs.  The summary
-    counts only records of this sweep's own pairs."""
+    counts only records of this sweep's own pairs.  A range with no pair
+    raises ValueError before the checkpoint is touched."""
     t0 = time.perf_counter()
     pairs = _pair_list(spec)
+    if not pairs:
+        # A sweep of nothing would certify nothing and still succeed.
+        raise ValueError(f"no prime pair for q_min (--q-min) {spec.q_min} "
+                         f"and q_max (--q-max) {spec.q_max}")
     summary = SweepSummary(pairs_total=len(pairs))
 
     def tally(rec: dict) -> None:
@@ -372,12 +380,9 @@ def _cmd_sweep(args) -> int:
             checkpoint_path=Path(args.checkpoint) if args.checkpoint else None,
             max_pairs=args.max,
         )
+        summary = sweep(spec, force_restart=args.force_restart)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if not _pair_list(spec):
-        # A sweep of nothing would certify nothing and still exit 0.
-        raise _UsageError(f"no prime pair for --q-min {args.q_min} and --q-max {args.q_max}")
-    summary = sweep(spec, force_restart=args.force_restart)
     print(f"pairs total      : {summary.pairs_total}")
     print(f"pairs resumed    : {summary.pairs_skipped}")
     print(f"pairs processed  : {summary.pairs_processed}")

@@ -1,11 +1,12 @@
 """Certified logarithms, continued fractions of log q / log p, and linear-form gaps.
 
-An enclosure (CertifiedReal) is a record of two integer mantissas at one
-binary scale 2^-w.  Arithmetic on enclosures is done on those mantissas,
-with product as the one outward-rounded product, so each comparison made
-against a result is exact and the whole module is deterministic bit for
-bit.  Logarithms are produced by an integer-only atanh series with directed
-rounding; nothing here touches floating point.
+An enclosure is a pair (lo, hi) of integer mantissas with lo * 2^-w <= x <=
+hi * 2^-w, where w = scale(bits) for the precision it was made at.
+Arithmetic on enclosures is done on those mantissas, with product as the
+one outward-rounded product, so each comparison made against a result is
+exact and the whole module is deterministic bit for bit.  Logarithms are
+produced by an integer-only atanh series with directed rounding; nothing
+here touches floating point.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ __all__ = [
     "START_BITS",
     "MAX_BITS",
     "PrecisionError",
-    "CertifiedReal",
     "Convergent",
     "GapCertificate",
     "certified_log",
     "log_of_fraction",
     "linear_form_gap",
     "product",
+    "scale",
 ]
 
 # Working-precision ladder of linear_form_gap: certify at START_BITS and
@@ -33,8 +34,7 @@ __all__ = [
 START_BITS = 128
 MAX_BITS = 16384
 _MIN_BITS = 16
-# Extra bits of every working scale: an enclosure made at precision `bits`
-# has w = bits + _GUARD_BITS, so operands from one rung share a scale.
+# Extra bits of every working scale, added by scale.
 _GUARD_BITS = 32
 
 
@@ -42,31 +42,10 @@ class PrecisionError(Exception):
     """Raised when the hard precision cap is exhausted."""
 
 
-@dataclass(frozen=True)
-class CertifiedReal:
-    """Enclosure m_lo * 2^-w <= x <= m_hi * 2^-w of a real number.  A plain
-    record: arithmetic is done on (m_lo, m_hi) mantissa pairs at one scale,
-    products through product, and lo, hi and width are exact views."""
-
-    m_lo: int
-    m_hi: int
-    w: int
-
-    def __post_init__(self):
-        if self.m_lo > self.m_hi:
-            raise ValueError("empty enclosure")
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.m_lo, 1 << self.w)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.m_hi, 1 << self.w)
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.m_hi - self.m_lo, 1 << self.w)
+def scale(bits: int) -> int:
+    """The scale w of every enclosure made at precision bits: its ends are
+    integer mantissas of 2^-w, so enclosures from one rung add exactly."""
+    return bits + _GUARD_BITS
 
 
 def product(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
@@ -158,26 +137,27 @@ def _ln_table(k: int, w: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=4096)
-def certified_log(n: int, bits: int) -> CertifiedReal:
-    """Enclosure of ln(n) with relative width at most 2^-bits."""
+def certified_log(n: int, bits: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) at scale(bits) of ln(n), with relative width at
+    most 2^-bits."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if bits < _MIN_BITS:
         raise ValueError(f"bits must be at least {_MIN_BITS}")
-    w = bits + _GUARD_BITS
-    out = CertifiedReal(*_ln_scaled(n, 1, w), w)
-    if (out.m_hi - out.m_lo) << bits > max(1 << w, out.m_lo):
+    w = scale(bits)
+    lo, hi = _ln_scaled(n, 1, w)
+    if lo > hi:
+        raise ValueError("empty enclosure")
+    if (hi - lo) << bits > max(1 << w, lo):
         raise ArithmeticError(f"ln({n}) enclosure wider than 2^-{bits}")
-    return out
+    return lo, hi
 
 
-def log_of_fraction(x: Fraction, bits: int) -> CertifiedReal:
-    """Enclosure of ln(x) for a positive rational x, outward rounded."""
-    x = Fraction(x)
-    if x.numerator <= 0:
-        raise ValueError("x must be positive")
-    w = bits + _GUARD_BITS
-    e_lo, e_hi, num, den = _split(x.numerator, x.denominator, w)
+def log_of_fraction(n: int, d: int, bits: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) at scale(bits) of ln(n/d) for positive integers
+    n and d, outward rounded."""
+    w = scale(bits)
+    e_lo, e_hi, num, den = _split(n, d, w)
     # The table point c = k / 2^K with k = floor(2^K * r), r = num/den, and
     # t = (r-c)/(r+c) = a/b, rounded outward once to mantissas at 2^-w.
     k = (num << _TABLE_BITS) // den
@@ -197,7 +177,10 @@ def log_of_fraction(x: Fraction, bits: int) -> CertifiedReal:
         tp_hi = -(-(tp_hi * t2_hi) >> w)
     c_lo, c_hi = _ln_table(k, w)
     # s_hi + 2: the tail rule of _atanh_scaled, with t^2 < 2^-12.
-    return CertifiedReal(e_lo + c_lo + 2 * s_lo, e_hi + c_hi + 2 * (s_hi + 2), w)
+    lo, hi = e_lo + c_lo + 2 * s_lo, e_hi + c_hi + 2 * (s_hi + 2)
+    if lo > hi:
+        raise ValueError("empty enclosure")
+    return lo, hi
 
 
 # -- continued fraction of log q / log p ------------------------------------
@@ -216,13 +199,14 @@ class _Ambiguous(Exception):
     pass
 
 
-def _expand(lp: CertifiedReal, lq: CertifiedReal, Q_cut: int, P_cut: int) -> list[Convergent]:
+def _expand(lp: tuple[int, int], lq: tuple[int, int],
+            Q_cut: int, P_cut: int) -> list[Convergent]:
     # All convergents of the enclosure lq / lp of log q / log p (both at one
     # scale) with Q < Q_cut and P < P_cut, plus the first one violating
     # either cutoff as a boundary guard; raises _Ambiguous when the
     # enclosure does not pin down a partial quotient.
     # Each end of the enclosure is kept as an exact ratio n / d of integers.
-    n_lo, d_lo, n_hi, d_hi = lq.m_lo, lp.m_hi, lq.m_hi, lp.m_lo
+    (n_lo, n_hi), (d_hi, d_lo) = lq, lp
     out: list[Convergent] = []
     P0, P1 = 1, 0   # P_{k-1}, P_{k-2}
     Q0, Q1 = 0, 1
@@ -256,10 +240,10 @@ class GapCertificate:
     precision_bits: int
 
 
-def _abs_linear_form(c: Convergent, lp: CertifiedReal, lq: CertifiedReal) -> int:
+def _abs_linear_form(c: Convergent, lp: tuple[int, int], lq: tuple[int, int]) -> int:
     # Low end of |P log p - Q log q| as a positive mantissa at the shared scale.
-    lo = c.P * lp.m_lo - c.Q * lq.m_hi
-    hi = c.P * lp.m_hi - c.Q * lq.m_lo
+    lo = c.P * lp[0] - c.Q * lq[1]
+    hi = c.P * lp[1] - c.Q * lq[0]
     if lo > 0:
         return lo
     if hi < 0:
@@ -285,12 +269,12 @@ def linear_form_gap(pair, B) -> GapCertificate:
     p, q = min(pair.p, pair.q), max(pair.p, pair.q)
     bits = START_BITS
     while bits <= MAX_BITS:
-        lp = certified_log(p, bits)
-        lq = certified_log(q, bits)
-        # Ceilings of 2B / lq.lo and 2B / lp.lo: every Q and P is an integer,
-        # so Q < 2B / lq.lo exactly when Q < Q_cut.
-        Q_cut = -(-(2 * B.numerator << lq.w) // (B.denominator * lq.m_lo))
-        P_cut = -(-(2 * B.numerator << lp.w) // (B.denominator * lp.m_lo))
+        w = scale(bits)
+        lp, lq = certified_log(p, bits), certified_log(q, bits)
+        # Ceilings of 2B / lo(log q) and 2B / lo(log p): every Q and P is an
+        # integer, so Q < 2B / lo(log q) exactly when Q < Q_cut.
+        Q_cut = -(-(2 * B.numerator << w) // (B.denominator * lq[0]))
+        P_cut = -(-(2 * B.numerator << w) // (B.denominator * lp[0]))
         try:
             convs = _expand(lp, lq, Q_cut, P_cut)
             pool = convs[:-1] if len(convs) > 1 else convs
@@ -301,7 +285,7 @@ def linear_form_gap(pair, B) -> GapCertificate:
             # pair's failed first rung would pile up until a full collection.
             bits *= 2
             continue
-        delta = Fraction(999 * min_low, 1000 << lp.w)
+        delta = Fraction(999 * min_low, 1000 << w)
         return GapCertificate(delta=delta, convergents_checked=tuple(pool),
                               precision_bits=bits)
     raise PrecisionError(

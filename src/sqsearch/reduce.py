@@ -19,6 +19,7 @@ from .diolog import (
     linear_form_gap,
     log_of_fraction,
     product,
+    scale,
 )
 
 __all__ = [
@@ -81,28 +82,26 @@ def _pair_constants(p: int, q: int, bits: int) -> tuple:
     # The rung's scale w, and (lo, hi) mantissas at 2^-w of log p, log q,
     # ln(log p * log q), the majorant's leading factor c = 1.36e23 * (log p *
     # log q)^3 and its three offsets 1.63, 2.71 and 2.08 - ln(log p * log q).
-    lp, lq = certified_log(p, bits), certified_log(q, bits)
-    w, lp, lq = lp.w, (lp.m_lo, lp.m_hi), (lq.m_lo, lq.m_hi)
+    w, lp, lq = scale(bits), certified_log(p, bits), certified_log(q, bits)
     lpq = product(lp, lq, w)
     # 1.36e23 is the integer k, so k * lpq is exact on the mantissas.
     k = 136 * 10 ** 21
     c = product(product((k * lpq[0], k * lpq[1]), lpq, w), lpq, w)
     # ln of the enclosure lpq, outward rounded.
-    ln_lpq = (log_of_fraction(Fraction(lpq[0], 1 << w), bits).m_lo,
-              log_of_fraction(Fraction(lpq[1], 1 << w), bits).m_hi)
+    ln_lpq = (log_of_fraction(lpq[0], 1 << w, bits)[0],
+              log_of_fraction(lpq[1], 1 << w, bits)[1])
     o1, o2, o3 = (((n << w) // 100, -(-(n << w) // 100)) for n in (163, 271, 208))
     return w, lp, lq, ln_lpq, c, o1, o2, (o3[0] - ln_lpq[1], o3[1] - ln_lpq[0])
 
 
-def _f_upper(x: int, pair: PrimePair, bits: int) -> Fraction:
-    # Upper endpoint of the Baker-type majorant evaluated at log d = x, as
-    # c * (lx + 1.63) * (lx + 2.71) * (t3 * t3) with t3 = lx + o3, each
-    # product rounded outward on the mantissas.
+def _f_upper(x: int, pair: PrimePair, bits: int) -> int:
+    # Upper endpoint, a mantissa at scale(bits), of the Baker-type majorant
+    # evaluated at log d = x, as c * (lx + 1.63) * (lx + 2.71) * (t3 * t3)
+    # with t3 = lx + o3, each product rounded outward on the mantissas.
     w, *_, c, o1, o2, o3 = _pair_constants(pair.p, pair.q, bits)
-    lx = log_of_fraction(x, bits)
-    t1, t2, t3 = ((lx.m_lo + o[0], lx.m_hi + o[1]) for o in (o1, o2, o3))
-    f = product(product(product(c, t1, w), t2, w), product(t3, t3, w), w)
-    return Fraction(f[1], 1 << w)
+    lx = log_of_fraction(x, 1, bits)
+    t1, t2, t3 = ((lx[0] + o[0], lx[1] + o[1]) for o in (o1, o2, o3))
+    return product(product(product(c, t1, w), t2, w), product(t3, t3, w), w)[1]
 
 
 def initial_bound(pair: PrimePair) -> Fraction:
@@ -118,20 +117,21 @@ def initial_bound(pair: PrimePair) -> Fraction:
     Near 16, where t3 < 0 for large p and q, F need not increase, and the
     stepping loops settle the bracket.
     """
+    w = scale(START_BITS)  # F(x) < x reads f < x << w on F's high end f
     x = _CAP
     for _ in range(4):
-        x = -(-_f_upper(x, pair, START_BITS) // 1)
+        x = -(-_f_upper(x, pair, START_BITS) >> w)
     hi = min(_CAP, 16 << ((x - 1) // 16).bit_length())
-    while hi > 16 and _f_upper(hi // 2, pair, START_BITS) < hi // 2:
+    while hi > 16 and _f_upper(hi // 2, pair, START_BITS) < hi // 2 << w:
         hi //= 2
-    while not _f_upper(hi, pair, START_BITS) < hi:
+    while not _f_upper(hi, pair, START_BITS) < hi << w:
         hi *= 2
         if hi > _CAP:
             raise ArithmeticError("no crossing found; inputs out of range")
     lo = hi // 2 if hi > 16 else 4
     while hi - lo > max(1, hi // _BISECTION_REL):
         mid = (lo + hi) // 2
-        if _f_upper(mid, pair, START_BITS) < mid:
+        if _f_upper(mid, pair, START_BITS) < mid << w:
             hi = mid
         else:
             lo = mid
@@ -144,10 +144,11 @@ def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction
     # ln(y / (log p log q)) <= (ln y).hi - ln_lpq.lo; mantissas at 2^-w.
     bits = cert.precision_bits
     w, lp, lq, ln_lpq, *_ = _pair_constants(pair.p, pair.q, bits)
-    b1_gap = log_of_fraction(2 / cert.delta, bits).m_hi
-    b1_size = log_of_fraction(8 * B, bits).m_hi - ln_lpq[0]
+    delta = cert.delta
+    b1_gap = log_of_fraction(2 * delta.denominator, delta.numerator, bits)[1]
+    b1_size = log_of_fraction(8 * B.numerator, B.denominator, bits)[1] - ln_lpq[0]
     b1 = max(b1_gap, b1_size)
-    tail = log_of_fraction(Fraction(2 * b1 * b1, 1 << 2 * w), bits).m_hi - ln_lpq[0]
+    tail = log_of_fraction(2 * b1 * b1, 1 << 2 * w, bits)[1] - ln_lpq[0]
     b2 = 2 * b1 + pair.u_q * lq[1] + pair.u_p * lp[1] + tail
     return Fraction(b1, 1 << w), Fraction(b2, 1 << w)
 
@@ -189,8 +190,10 @@ def exponent_box(trace: ReductionTrace) -> ExponentBox:
     the trace's precision, so recomputing at higher precision can only
     shrink the caps.
     """
-    lp_lo = certified_log(trace.pair.p, trace.precision_bits).lo
-    lq_lo = certified_log(trace.pair.q, trace.precision_bits).lo
+    bits = trace.precision_bits
+    unit = 1 << scale(bits)
+    lp_lo = Fraction(certified_log(trace.pair.p, bits)[0], unit)
+    lq_lo = Fraction(certified_log(trace.pair.q, bits)[0], unit)
     return ExponentBox(
         a12_cap=trace.final_B1 // lp_lo,
         b12_cap=trace.final_B1 // lq_lo,

@@ -11,7 +11,7 @@ import pytest
 
 from sqsearch.arith import PrimePair, as_s_unit, lb1_modulus
 from sqsearch.campaign import SweepSpec, load_checkpoint, sweep
-from sqsearch.diolog import certified_log, linear_form_gap
+from sqsearch.diolog import certified_log, linear_form_gap, scale
 from sqsearch.reduce import exponent_box, initial_bound, reduce_full
 from sqsearch.search import brute_force_oracle, lemma_predicates, search_pair
 
@@ -225,12 +225,13 @@ def test_criterion_09_delta_certification():
         bits4 = 4 * cert.precision_bits
         lo_p = min(pair.p, pair.q)
         hi_q = max(pair.p, pair.q)
-        lp = certified_log(lo_p, bits4)
-        lq = certified_log(hi_q, bits4)
+        unit = Fraction(1, 1 << scale(bits4))
+        lp = [m * unit for m in certified_log(lo_p, bits4)]
+        lq = [m * unit for m in certified_log(hi_q, bits4)]
         assert cert.delta > 0
         for c in cert.convergents_checked:
-            lo = c.P * lp.lo - c.Q * lq.hi
-            hi = c.P * lp.hi - c.Q * lq.lo
+            lo = c.P * lp[0] - c.Q * lq[1]
+            hi = c.P * lp[1] - c.Q * lq[0]
             low_end = lo if lo > 0 else -hi
             assert low_end > cert.delta, (p, q, B, c)
     dt = time.perf_counter() - t0

@@ -176,10 +176,12 @@ def test_checkpoint_corrupt_middle_line_refuses(tmp_path):
 
 @pytest.mark.parametrize("record", [
     {"p": 2, "q": 3}, {"v": 1, "p": 2, "q": 3, "status": "running"},
+    {"p": "2", "q": 3, "status": "done"}, {"p": [2], "q": 3, "status": "done"},
 ])
 def test_checkpoint_record_without_known_status_refuses(tmp_path, capsys, record):
     # Accepted, a record without "done" or "error" would count {2, 3} as
-    # resumed, so a sweep would exit 0 without ever searching it.
+    # resumed, so a sweep would exit 0 without ever searching it; a p that
+    # is no int made report or sweep fail on a TypeError naming no line.
     ck = tmp_path / "nostatus.jsonl"
     good = json.dumps({"v": 1, "p": 2, "q": 5, "status": "done", "triples": []})
     ck.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
@@ -202,6 +204,20 @@ def test_sweep_force_restart(tmp_path):
         sweep(spec)
     summary = sweep(spec, force_restart=True)
     assert summary.pairs_processed == summary.pairs_total
+
+
+@pytest.mark.parametrize("force_restart", [False, True])
+def test_sweep_of_empty_range_leaves_checkpoint_untouched(tmp_path, force_restart):
+    # The refusal comes before the checkpoint is deleted, opened or cut.
+    ck = tmp_path / "kept.jsonl"
+    ck.write_text(json.dumps({"v": 1, "p": 2, "q": 3, "status": "done"}) + "\n"
+                  + '{"torn', encoding="utf-8")
+    raw = ck.read_bytes()
+    spec = SweepSpec(mode="fixed-p", p_fixed=2, q_min=24, q_max=28,
+                     workers=1, checkpoint_path=ck)
+    with pytest.raises(ValueError, match="no prime pair"):
+        sweep(spec, force_restart=force_restart)
+    assert ck.read_bytes() == raw
 
 
 def test_cli_pair_exit_codes(capsys):

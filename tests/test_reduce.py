@@ -241,15 +241,16 @@ def doubling_initial_bound(pair):
     # double hi from 16 until F(hi) < hi, then the same bisection.
     f = reduce_module._f_upper
     bits = reduce_module.START_BITS
+    w = diolog.scale(bits)  # f is F's high end as a mantissa at 2^-w
     lo, hi = 4, 16
-    while not f(hi, pair, bits) < hi:
+    while not f(hi, pair, bits) < hi << w:
         lo = hi
         hi *= 2
         if hi > 1 << 4096:
             raise ArithmeticError("no crossing found; inputs out of range")
     while hi - lo > max(1, hi // 1000):
         mid = (lo + hi) // 2
-        if f(mid, pair, bits) < mid:
+        if f(mid, pair, bits) < mid << w:
             hi = mid
         else:
             lo = mid
@@ -281,7 +282,7 @@ def test_initial_bound_stepping_loops_match_doubling_scan(monkeypatch, majorant)
     # On the real majorant four iterates almost always land on the scan's
     # grid point; these stand-ins make each stepping loop do the work.
     monkeypatch.setattr(reduce_module, "_f_upper",
-                        lambda x, pair, bits: Fraction(majorant(x)))
+                        lambda x, pair, bits: majorant(x) << diolog.scale(bits))
     assert initial_bound(PAIR_23) == doubling_initial_bound(PAIR_23)
 
 
@@ -304,7 +305,7 @@ def test_initial_bound_majorant_evaluations(monkeypatch, pq):
 
 def test_initial_bound_out_of_range_raises(monkeypatch):
     # F(x) >= x everywhere: no crossing at or below the cap 2^4096.
-    monkeypatch.setattr(reduce_module, "_f_upper", lambda x, pair, bits: Fraction(x))
+    monkeypatch.setattr(reduce_module, "_f_upper", lambda x, pair, bits: x << diolog.scale(bits))
     with pytest.raises(ArithmeticError, match="out of range"):
         initial_bound(PAIR_23)
 
@@ -315,12 +316,16 @@ def enclosure_formulas(pair, x, B, cert):
     # each product and constant is floored or ceiled at 2^-w.
     from sqsearch.diolog import certified_log, log_of_fraction
 
-    def ends(e):
-        return e.lo, e.hi
-
     def at(bits):
+        w = diolog.scale(bits)
+
+        def ends(e):
+            return Fraction(e[0], 1 << w), Fraction(e[1], 1 << w)
+
+        def ln(x):
+            return ends(log_of_fraction(x.numerator, x.denominator, bits))
+
         lp, lq = ends(certified_log(pair.p, bits)), ends(certified_log(pair.q, bits))
-        w = bits + diolog._GUARD_BITS
 
         def outward(lo, hi):
             return (Fraction(lo * (1 << w) // 1, 1 << w),
@@ -331,22 +336,21 @@ def enclosure_formulas(pair, x, B, cert):
             return outward(min(products), max(products))
 
         lpq = mul(lp, lq)
-        ln_lpq = (log_of_fraction(lpq[0], bits).lo, log_of_fraction(lpq[1], bits).hi)
-        return lp, lq, lpq, ln_lpq, outward, mul
+        ln_lpq = (ln(lpq[0])[0], ln(lpq[1])[1])
+        return lp, lq, lpq, ln_lpq, outward, mul, ln
 
-    lp, lq, lpq, ln_lpq, outward, mul = at(reduce_module.START_BITS)
+    lp, lq, lpq, ln_lpq, outward, mul, ln = at(reduce_module.START_BITS)
     k = 136 * 10 ** 21
     c = mul(mul((k * lpq[0], k * lpq[1]), lpq), lpq)
-    lx = ends(log_of_fraction(x, reduce_module.START_BITS))
+    lx = ln(Fraction(x))
     o1, o2, o3 = (outward(Fraction(n, 100), Fraction(n, 100)) for n in (163, 271, 208))
     t1, t2 = ((lx[0] + o[0], lx[1] + o[1]) for o in (o1, o2))
     t3 = (lx[0] + o3[0] - ln_lpq[1], lx[1] + o3[1] - ln_lpq[0])
     F = mul(mul(mul(c, t1), t2), mul(t3, t3))[1]
     bits = cert.precision_bits
-    lp, lq, lpq, ln_lpq, outward, mul = at(bits)
-    B1 = max(log_of_fraction(2 / cert.delta, bits).hi,
-             log_of_fraction(8 * B, bits).hi - ln_lpq[0])
-    tail = log_of_fraction(2 * B1 * B1, bits).hi - ln_lpq[0]
+    lp, lq, lpq, ln_lpq, outward, mul, ln = at(bits)
+    B1 = max(ln(2 / cert.delta)[1], ln(8 * B)[1] - ln_lpq[0])
+    tail = ln(2 * B1 * B1)[1] - ln_lpq[0]
     B2 = 2 * B1 + pair.u_q * lq[1] + pair.u_p * lp[1] + tail
     return F, B1, B2
 
@@ -359,5 +363,6 @@ def test_integer_chain_equals_enclosure_formulas(a, b, x, B):
     pair = PrimePair.of(min(a, b), max(a, b))
     cert = linear_form_gap(pair, B)
     F, B1, B2 = enclosure_formulas(pair, x, B, cert)
-    assert reduce_module._f_upper(x, pair, reduce_module.START_BITS) == F
+    w = diolog.scale(reduce_module.START_BITS)
+    assert Fraction(reduce_module._f_upper(x, pair, reduce_module.START_BITS), 1 << w) == F
     assert reduce_module._b1_b2(pair, B, cert) == (B1, B2)

@@ -43,3 +43,21 @@ def test_every_exported_name_is_defined_in_its_module():
                 stale += [f"{path.name}: {name}" for name in ast.literal_eval(node.value)
                           if name not in defined]
     assert stale == []
+
+
+def test_every_top_level_import_is_used():
+    # An import left behind by a deletion still loads its module and reads
+    # as a dependency that is not there.  `from __future__` imports are
+    # compiler directives, not names.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [f"{path.name}:{node.lineno} {name}" for name in bound
+                           if name not in used]
+    assert unused == []
