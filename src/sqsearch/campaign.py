@@ -1,5 +1,12 @@
-"""Batch campaigns: prime sweeps with parallel workers, JSONL checkpointing
-with resume, and the command-line interface.
+"""Batch campaigns: prime sweeps on forked workers, JSONL checkpointing with
+resume, and the command-line interface.
+
+A sweep at workers = N > 1 forks N processes (the `fork` start method,
+pinned, not the platform default), gives each a fixed stride of the pair
+list and streams each one's records over a pipe of its own; the parent alone
+writes the checkpoint.  Workers share nothing, so a dead worker is a pipe
+that ended early: its current pair gets an error record, and the sweep
+finishes the rest.
 
 Exit codes: 0 completed with nothing notable, 2 completed and at least one
 quadruple found (which would contradict the two-prime conjecture) or one
@@ -217,11 +224,70 @@ def _run_pair(task: tuple[int, int]) -> dict:
         return _error_record(p, q, f"{type(exc).__name__}: {exc}", ms)
 
 
+def _run_stride(tasks: list[tuple[int, int]], conn) -> None:
+    # A forked worker's whole life: one record per pair, in stride order.
+    for task in tasks:
+        conn.send(_run_pair(task))
+    conn.close()
+
+
+def _run_forked(pending: list[tuple[int, int]], workers: int, consume) -> None:
+    """Run pending on at most `workers` forked processes, worker k on the
+    fixed stride pending[k::n], each sending its records over a pipe of its
+    own.  A worker whose pipe ends before its stride does has died: the pair
+    it was on gets an error record naming the exit code, and the rest of its
+    stride runs again in the next round.  Every round settles at least one
+    pair per dead worker, so the loop ends.  No child outlives the call."""
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        while pending:
+            n = min(workers, len(pending))
+            running = {}  # reader -> [process, stride, records read, time of last]
+            for k in range(n):
+                reader, writer = ctx.Pipe(duplex=False)
+                stride = pending[k::n]
+                proc = ctx.Process(target=_run_stride, args=(stride, writer), daemon=True)
+                proc.start()
+                # Only the child may hold the write end, or its death is no EOF.
+                writer.close()
+                children.append(proc)
+                running[reader] = [proc, stride, 0, time.perf_counter()]
+            pending = []
+            while running:
+                for reader in wait(list(running)):
+                    proc, stride, done, t_last = running[reader]
+                    try:
+                        rec = reader.recv()
+                    except (EOFError, OSError):  # OSError: it died mid-message
+                        del running[reader]
+                        reader.close()
+                        proc.join()
+                        if done < len(stride):
+                            p, q = stride[done]
+                            ms = int((time.perf_counter() - t_last) * 1000)
+                            consume(_error_record(
+                                p, q, f"worker exited with code {proc.exitcode}", ms))
+                            pending.extend(stride[done + 1:])
+                        continue
+                    running[reader][2:] = done + 1, time.perf_counter()
+                    consume(rec)
+    finally:
+        for proc in children:
+            proc.terminate()
+            proc.join()
+
+
 def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
-    """Run the pair list through workers, append one checkpoint record per
-    completion, and resume past already-checkpointed pairs.  The summary
-    counts only records of this sweep's own pairs.  A range with no pair
-    raises ValueError before the checkpoint is touched."""
+    """Run the pair list, append one checkpoint record per completion, and
+    resume past already-checkpointed pairs.  At workers = 1 the pairs run in
+    this process; above that they run on forked workers with fixed strides
+    of the pair list (see _run_forked), and a worker that dies costs an
+    error record for the pair it was on.  The summary counts only records
+    of this sweep's own pairs.  A range with no pair raises ValueError
+    before the checkpoint is touched."""
     t0 = time.perf_counter()
     pairs = _pair_list(spec)
     if not pairs:
@@ -269,9 +335,7 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
             for task in pending:
                 consume(_run_pair(task))
         else:
-            with multiprocessing.Pool(spec.workers) as pool:
-                for rec in pool.imap_unordered(_run_pair, pending):
-                    consume(rec)
+            _run_forked(pending, spec.workers, consume)
     finally:
         if ckpt_file is not None:
             ckpt_file.close()

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -111,13 +112,123 @@ def test_sweep_kill_and_resume(tmp_path):
     assert records_sans_ms(full) == records_sans_ms(broken)
 
 
-def test_sweep_worker_count_independence(tmp_path):
-    one = tmp_path / "w1.jsonl"
-    many = tmp_path / "w4.jsonl"
-    base = dict(mode="fixed-p", p_fixed=2, q_min=3, q_max=40)
-    sweep(SweepSpec(**base, workers=1, checkpoint_path=one))
-    sweep(SweepSpec(**base, workers=4, checkpoint_path=many))
-    assert records_sans_ms(one) == records_sans_ms(many)
+WORKER_RANGE = dict(mode="fixed-p", p_fixed=2, q_min=3, q_max=40)  # 11 pairs
+
+
+@pytest.fixture(scope="module")
+def serial_records(tmp_path_factory):
+    ck = tmp_path_factory.mktemp("serial") / "w1.jsonl"
+    sweep(SweepSpec(**WORKER_RANGE, workers=1, checkpoint_path=ck))
+    return records_sans_ms(ck)
+
+
+def test_sweep_worker_count_independence(tmp_path, serial_records):
+    for workers in (1, 2, 3, 8):
+        many = tmp_path / f"w{workers}.jsonl"
+        summary = sweep(SweepSpec(**WORKER_RANGE, workers=workers, checkpoint_path=many))
+        assert summary.pairs_processed == 11 and summary.errors == 0
+        assert records_sans_ms(many) == serial_records, workers
+        assert multiprocessing.active_children() == []
+
+
+def test_sweep_max_pairs_then_resume_on_workers(tmp_path, serial_records):
+    # A capped forked leg writes exactly the first pairs of the list; a
+    # forked resume at another worker count completes the serial set.
+    ck = tmp_path / "capped.jsonl"
+    capped = sweep(SweepSpec(**WORKER_RANGE, workers=3, checkpoint_path=ck, max_pairs=7))
+    assert capped.pairs_total == 7 and capped.pairs_processed == 7
+    assert sorted(load_checkpoint(ck)) == sorted(serial_records)[:7]
+    resumed = sweep(SweepSpec(**WORKER_RANGE, workers=2, checkpoint_path=ck))
+    assert resumed.pairs_skipped == 7 and resumed.pairs_processed == 4
+    assert records_sans_ms(ck) == serial_records
+
+
+def test_sweep_starts_no_more_workers_than_pairs(tmp_path, monkeypatch):
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    spec = SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=7, workers=8,
+                     checkpoint_path=tmp_path / "three.jsonl")
+    assert sweep(spec).pairs_processed == 3
+    assert len(started) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_parent_failure_leaves_no_worker(tmp_path, monkeypatch):
+    # The checkpoint's second write fails while workers still run; the
+    # error reaches the caller and every worker is stopped and reaped.
+    import sqsearch.campaign as campaign
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("planted: disk full")
+            return self.fh.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    monkeypatch.setattr(campaign, "open", lambda *a, **kw: FailingFile(open(*a, **kw)),
+                        raising=False)
+    spec = SweepSpec(**WORKER_RANGE, workers=2, checkpoint_path=tmp_path / "fail.jsonl")
+    with pytest.raises(OSError, match="planted"):
+        sweep(spec)
+    assert multiprocessing.active_children() == []
+
+
+# Runs a two-worker sweep in a fresh interpreter whose forked worker ends
+# its own process on q = 11, the second pair of worker 1's stride.
+KILLED_WORKER_SCRIPT = """
+import multiprocessing, os, signal, sys
+import sqsearch.campaign as campaign
+
+parent, real_run = os.getpid(), campaign._run_pair
+
+def dying(task):
+    if task[1] == 11 and os.getpid() != parent:
+        {death}
+    return real_run(task)
+
+campaign._run_pair = dying
+code = campaign.main(sys.argv[1:])
+print("children left:", len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("death,exitcode", [
+    ("os._exit(7)", 7), ("os.kill(os.getpid(), signal.SIGKILL)", -9),
+])
+def test_sweep_survives_a_killed_worker(tmp_path, serial_records, death, exitcode):
+    # A dead worker must never hang the sweep: it costs one error record
+    # for the pair it was on, and the sweep finishes every other pair.  The
+    # timeout turns a hang into a failure.
+    import sqsearch
+    ck = tmp_path / "killed.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(sqsearch.__file__).resolve().parents[1]))
+    argv = ["sweep", "--p", "2", "--q-min", "3", "--q-max", "40", "--workers", "2",
+            "--checkpoint", str(ck)]
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_WORKER_SCRIPT.format(death=death), *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "errors           : 1" in proc.stdout
+    assert "pairs processed  : 11" in proc.stdout
+    assert "children left: 0" in proc.stdout
+    records = records_sans_ms(ck)
+    lost = records.pop((2, 11))
+    assert lost["status"] == "error"
+    assert lost["error"] == f"worker exited with code {exitcode}"
+    assert records == {k: v for k, v in serial_records.items() if k != (2, 11)}
 
 
 def test_sweep_all_pairs_mode_and_skip_33(tmp_path):
