@@ -21,7 +21,6 @@ import dataclasses
 import decimal
 import json
 import math
-import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field
@@ -238,6 +237,9 @@ def _run_forked(pending: list[tuple[int, int]], workers: int, consume) -> None:
     it was on gets an error record naming the exit code, and the rest of its
     stride runs again in the next round.  Every round settles at least one
     pair per dead worker, so the loop ends.  No child outlives the call."""
+    # Imported here: only a sweep at workers > 1 forks, and the import adds
+    # about 1 MB to the resident size of every other command.
+    import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from typing import NamedTuple
 
 __all__ = [
     "START_BITS",
@@ -185,8 +186,7 @@ def log_of_fraction(n: int, d: int, bits: int) -> tuple[int, int]:
 
 # -- continued fraction of log q / log p ------------------------------------
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """Convergent P/Q of the continued fraction of log q / log p."""
 
     P: int

@@ -10,8 +10,8 @@ oracle enumerates tuple values directly and shares none of that logic.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -257,15 +257,23 @@ def search_pair(pair: PrimePair) -> PairReport:
 def brute_force_oracle(pair: PrimePair, N: int, m: int) -> list[tuple[int, ...]]:
     """Every S-Diophantine m-tuple with entries up to N, by direct value
     enumeration: cliques of the graph on 1..N whose edges a < b have
-    a*b + 1 an S-unit.  Shares no enumeration logic with search_pair."""
+    a*b + 1 an S-unit.  Shares no enumeration logic with search_pair.
+    Consecutive calls for one (pair, N) share a single graph build."""
     if N < 2:
         raise ValueError("N must be at least 2")
     if m not in (2, 3, 4):
         raise ValueError("m must be 2, 3 or 4")
     if N > MAX_ORACLE_HEIGHT:
         raise ResourceBudgetError(f"oracle height {N} exceeds budget")
-    # Every edge a < b <= N has a*b + 1 <= N(N-1) + 1, so the S-units up to
-    # that bound propose all of them: b = (s-1)/a for s in (a^2+1, aN+1].
+    return list(_oracle_cliques(pair, N)[m - 2])
+
+
+@lru_cache(maxsize=1)
+def _oracle_cliques(pair: PrimePair, N: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # Sorted cliques of arity 2, 3 and 4 from one build: callers ask arity 3
+    # and then 4 of one (pair, N), and the cached entry holds no graph.
+    # Every edge a < b <= N has a*b + 1 <= N(N-1) + 1, so the S-units s up
+    # to that bound propose all of them: b = t/a for t = s - 1 in (a^2, aN].
     # The units only prune; as_s_unit still decides each edge.
     top = N * (N - 1) + 1
     units: list[int] = []
@@ -273,36 +281,35 @@ def brute_force_oracle(pair: PrimePair, N: int, m: int) -> list[tuple[int, ...]]
     while pa <= top:
         v = pa
         while v <= top:
-            units.append(v)
+            units.append(v - 1)
             v *= pair.q
         pa *= pair.p
     units.sort()
+    units.append(N * N + 1)  # sentinel above every window's end aN
     # Larger neighbours of each vertex; vertices with none are left out, so
-    # memory follows the edges, not N.
-    neighbors: dict[int, list[int]] = {}
+    # memory follows the edges, not N.  Both window ends only move up.
+    larger: dict[int, set[int]] = {}
+    lo = hi = 0
     for a in range(1, N + 1):
-        nb = []
-        for s in units[bisect_right(units, a * a + 1):bisect_right(units, a * N + 1)]:
-            if (s - 1) % a == 0:
-                b = (s - 1) // a
-                if as_s_unit(a * b + 1, pair) is not None:
-                    nb.append(b)
-        if nb:
-            neighbors[a] = nb
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], common: list[int]) -> None:
-        if len(prefix) == m:
-            out.append(prefix)
-            return
+        while units[lo] <= a * a:
+            lo += 1
+        while units[hi] <= a * N:
+            hi += 1
+        for t in units[lo:hi]:
+            if t % a == 0 and as_s_unit(t + 1, pair) is not None:
+                larger.setdefault(a, set()).add(t // a)
+    # Each clique is grown once, in increasing order, so every k-clique is
+    # met as a prefix of the walk; an explicit stack leaves no cycles.
+    found = ([], [], [])  # arity 2, 3, 4
+    stack = [((a,), nb) for a, nb in larger.items()]
+    while stack:
+        prefix, common = stack.pop()
         for x in common:
-            grow(prefix + (x,),
-                 [y for y in common if y > x and y in _sets.get(x, ())])
-
-    _sets = {a: set(nb) for a, nb in neighbors.items()}
-    for a, nb in neighbors.items():
-        grow((a,), nb)
-    return sorted(out)
+            clique = prefix + (x,)
+            found[len(clique) - 2].append(clique)
+            if len(clique) < 4 and x in larger:
+                stack.append((clique, common & larger[x]))
+    return tuple(tuple(sorted(f)) for f in found)
 
 
 def lemma_predicates(pair: PrimePair, tuples: list[tuple[int, ...]]) -> list[str]:

@@ -13,6 +13,7 @@ from sqsearch.diolog import (
     certified_log,
     linear_form_gap,
     log_of_fraction,
+    product,
 )
 
 mp.dps = 60
@@ -405,3 +406,44 @@ def test_log_of_fraction_keeps_the_table_series(nd, bits):
     # still encloses ln(n/d) on most inputs, so it shows only here.
     n, d = nd
     assert log_of_fraction(n, d, bits) == table_series_log(n, d, diolog.scale(bits))
+
+
+# -- enclosures and diolog.product -------------------------------------------
+# An enclosure is a (lo, hi) pair of integer mantissas at one scale 2^-w.
+# The product must enclose the exact rational result computed from the
+# operands' endpoints and may exceed it by at most one unit of 2^-w per side.
+
+MANTISSA = st.integers(min_value=-(1 << 200), max_value=1 << 200)
+SCALE = st.integers(min_value=0, max_value=256)
+
+
+@st.composite
+def enclosures(draw):
+    a, b = draw(MANTISSA), draw(MANTISSA)
+    return min(a, b), max(a, b)
+
+
+@settings(max_examples=300)
+@given(enclosures(), enclosures(), SCALE)
+def test_product_encloses_exact_endpoint_products(x, y, w):
+    out = product(x, y, w)
+    unit = Fraction(1, 1 << w)
+    products = [a * b * unit * unit for a in x for b in y]
+    lo, hi = min(products), max(products)
+    # out encloses [lo, hi] and overshoots each side by at most 2^-w.
+    assert out[0] * unit <= lo <= hi <= out[1] * unit
+    assert lo - out[0] * unit <= unit and out[1] * unit - hi <= unit
+
+
+def test_empty_enclosure_rejected(monkeypatch):
+    # A planted series whose ends come out inverted by 2^w: each function
+    # that makes an enclosure refuses it rather than return it.
+    def inverted(*args):
+        return 1 << args[-1], 0
+
+    monkeypatch.setattr(diolog, "_ln_scaled", inverted)
+    monkeypatch.setattr(diolog, "_ln_table", inverted)
+    with pytest.raises(ValueError, match="empty enclosure"):
+        certified_log.__wrapped__(3, 128)
+    with pytest.raises(ValueError, match="empty enclosure"):
+        log_of_fraction(3, 1, 128)

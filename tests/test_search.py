@@ -1,4 +1,6 @@
+import gc
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -164,6 +166,37 @@ def test_oracle_validation():
         brute_force_oracle(PAIR_23, 10, 5)
     with pytest.raises(ResourceBudgetError):
         brute_force_oracle(PAIR_23, 10 ** 7, 2)
+
+
+def test_oracle_cache_serves_interleaved_calls():
+    # The oracle keeps the cliques of one (pair, N).  Calls in any order over
+    # several pairs, heights and arities must each see the uncached result,
+    # and a caller that mutates its list must not change the next call's.
+    keys = [(pair, N) for pair in (PAIR_23, PAIR_27, PAIR_35) for N in (10, 50, 500)]
+    expected = {key: search._oracle_cliques.__wrapped__(*key) for key in keys}
+    calls = [(pair, N, m) for pair, N in keys for m in (2, 3, 4)] * 2
+    random.Random(11).shuffle(calls)
+    calls += [(PAIR_35, 500, 3), (PAIR_35, 500, 3), (PAIR_35, 500, 4)]
+    for pair, N, m in calls:
+        got = brute_force_oracle(pair, N, m)
+        assert got == list(expected[pair, N][m - 2])
+        got.append((0,) * m)
+        got.sort()
+    assert brute_force_oracle(PAIR_23, 50, 3) == GROUND_TRUTH_23
+
+
+def test_oracle_leaves_no_cyclic_garbage():
+    # Each call's graph must be freed by reference counting; anything left to
+    # the cycle collector is memory held until the next collection.  The two
+    # heights differ, so the second call builds even if the first was cached.
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_oracle(PAIR_35, 500, 3)
+        brute_force_oracle(PAIR_35, 400, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_oracle_pairs_arity():
