@@ -114,6 +114,18 @@ def _error_record(p: int, q: int, message: str, ms: int) -> dict:
             "error": message, "ms": ms}
 
 
+def _fields_well_typed(rec: dict) -> bool:
+    # The optional fields that sweep and report read; a missing one reads as
+    # empty or 0, and a bool is no int here.
+    def rows(v, n: int) -> bool:
+        return type(v) is list and all(
+            type(t) is list and len(t) == n and all(type(x) is int for x in t) for t in v)
+    flags = rec.get("flags", [])
+    return (rows(rec.get("triples", []), 3) and rows(rec.get("quadruples", []), 4)
+            and type(flags) is list and all(type(f) is str for f in flags)
+            and type(rec.get("ms", 0)) is int)
+
+
 def load_checkpoint(path: Path) -> dict[tuple[int, int], dict]:
     """Parse a JSONL checkpoint without modifying it.  A torn tail, the bytes
     after the last newline, is skipped with a warning, because a record
@@ -130,12 +142,14 @@ def load_checkpoint(path: Path) -> dict[tuple[int, int], dict]:
             continue
         try:
             rec = json.loads(line)
-            # A record without a known status would count its pair as done,
-            # and a p or q that is no int (bool is none here) would fail
-            # later, in sorting or hashing, without naming its line.
+            # A record without a known status would count its pair as done;
+            # a p or q that is no int, or an ill-typed triples, quadruples,
+            # flags or ms, would fail later without naming its line, or fake
+            # a quadruple.
             if (not isinstance(rec, dict) or type(rec.get("p")) is not int
                     or type(rec.get("q")) is not int
-                    or rec.get("status") not in ("done", "error")):
+                    or rec.get("status") not in ("done", "error")
+                    or not _fields_well_typed(rec)):
                 raise ValueError("missing or malformed fields")
         except ValueError as exc:
             raise CheckpointError(
@@ -396,20 +410,11 @@ def _report_json(report: PairReport) -> dict:
     return rec
 
 
-def _check_prime(n: int) -> None:
+def _pair_arg(p: int, q: int) -> PrimePair:
     try:
-        prime = is_prime(n)
-    except ValueError as exc:  # beyond the deterministic primality range
+        return PrimePair.of(p, q)
+    except ValueError as exc:  # equal, not prime, or beyond the primality range
         raise _UsageError(str(exc)) from exc
-    if not prime:
-        raise _UsageError(f"{n} is not prime")
-
-
-def _check_pair_args(p: int, q: int) -> None:
-    for r in (p, q):
-        _check_prime(r)
-    if p == q:
-        raise _UsageError("p and q must be distinct")
 
 
 def _check_oracle_height(n: int, flag: str) -> None:
@@ -418,8 +423,7 @@ def _check_oracle_height(n: int, flag: str) -> None:
 
 
 def _cmd_pair(args) -> int:
-    _check_pair_args(args.p, args.q)
-    report = search_pair(PrimePair.of(args.p, args.q))
+    report = search_pair(_pair_arg(args.p, args.q))
     _print_report(report)
     if args.json:
         Path(args.json).write_text(json.dumps(_report_json(report), indent=2) + "\n",
@@ -435,9 +439,7 @@ def _exit_code(notable: bool, errors: int) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.all_pairs:
-        _check_prime(args.p)
-    try:
+    try:  # a --p that is not prime fails in _pair_list, before the checkpoint
         spec = SweepSpec(
             mode="all-pairs" if args.all_pairs else "fixed-p",
             p_fixed=None if args.all_pairs else args.p,
@@ -461,9 +463,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_pair_args(args.p, args.q)
+    pair = _pair_arg(args.p, args.q)
     _check_oracle_height(args.max, "--max")
-    pair = PrimePair.of(args.p, args.q)
     tuples = brute_force_oracle(pair, args.max, args.arity)
     for t in tuples:
         print("(" + ", ".join(str(x) for x in t) + ")")

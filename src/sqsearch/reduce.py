@@ -43,12 +43,13 @@ _CAP = 1 << 4096  # initial bound: no crossing at or below it means out of range
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One application of the reduction lemma: B_in -> (delta, B1, B2)."""
+    """One reduction-lemma step B_in -> (delta, B1, B2), delta certified at precision_bits."""
 
     B_in: Fraction
     delta: Fraction
     B1: Fraction
     B2: Fraction
+    precision_bits: int
 
     @property
     def improvement(self) -> Fraction:
@@ -160,7 +161,8 @@ def reduce_once(pair: PrimePair, B) -> ReductionStep:
         raise ValueError("B must be at least 1")
     cert = linear_form_gap(pair, B)
     B1, B2 = _b1_b2(pair, B, cert)
-    return ReductionStep(B_in=B, delta=cert.delta, B1=B1, B2=B2)
+    return ReductionStep(B_in=B, delta=cert.delta, B1=B1, B2=B2,
+                         precision_bits=cert.precision_bits)
 
 
 def reduce_full(pair: PrimePair) -> ReductionTrace:
@@ -175,12 +177,18 @@ def reduce_full(pair: PrimePair) -> ReductionTrace:
         if step.improvement <= 0 or step.improvement < STOP_RATIO * B:
             break
         B = step.B2
-    final = min([B0] + [s.B2 for s in steps])
-    final_cert = linear_form_gap(pair, final)
-    final_B1, _ = _b1_b2(pair, final, final_cert)
+    # The final bound is the least of B0 and every B2.  Each B2 but the last
+    # is the next step's B_in, and each step but the last improved, so the
+    # B_in strictly fall: that least is the last step's B_in when it did not
+    # improve, and its B2 when it did.  linear_form_gap and _b1_b2 are
+    # deterministic in (pair, B), so a last step that did not improve already
+    # holds the final B1 and its rung; otherwise one more step at its B2
+    # certifies them, and is not part of the chain.
+    last = steps[-1]
+    final = last if last.improvement <= 0 else reduce_once(pair, last.B2)
     return ReductionTrace(pair=pair, B0=B0, steps=tuple(steps),
-                          final_bound=final, final_B1=final_B1,
-                          precision_bits=final_cert.precision_bits)
+                          final_bound=final.B_in, final_B1=final.B1,
+                          precision_bits=final.precision_bits)
 
 
 def exponent_box(trace: ReductionTrace) -> ExponentBox:

@@ -285,14 +285,24 @@ def test_checkpoint_corrupt_middle_line_refuses(tmp_path):
         load_checkpoint(ck)
 
 
+DONE_23 = {"v": 1, "p": 2, "q": 3, "status": "done"}
+
+
 @pytest.mark.parametrize("record", [
     {"p": 2, "q": 3}, {"v": 1, "p": 2, "q": 3, "status": "running"},
     {"p": "2", "q": 3, "status": "done"}, {"p": [2], "q": 3, "status": "done"},
+    {**DONE_23, "quadruples": "xy", "triples": []}, {**DONE_23, "quadruples": 5},
+    {**DONE_23, "quadruples": [[1, 3, 8]]}, {**DONE_23, "quadruples": [[1, 3, 8, "120"]]},
+    {**DONE_23, "triples": [[1, 3]]}, {**DONE_23, "triples": [[1, 3, 5.0]]},
+    {**DONE_23, "triples": "abc"}, {**DONE_23, "flags": "x"}, {**DONE_23, "flags": [1]},
+    {**DONE_23, "ms": "7"}, {**DONE_23, "ms": True}, {**DONE_23, "ms": 7.5},
 ])
 def test_checkpoint_record_without_known_status_refuses(tmp_path, capsys, record):
     # Accepted, a record without "done" or "error" would count {2, 3} as
     # resumed, so a sweep would exit 0 without ever searching it; a p that
-    # is no int made report or sweep fail on a TypeError naming no line.
+    # is no int made report or sweep fail on a TypeError naming no line, and
+    # so did a quadruples or ms of the wrong type, while a string of
+    # quadruples made report and sweep print a notable pair and exit 2.
     ck = tmp_path / "nostatus.jsonl"
     good = json.dumps({"v": 1, "p": 2, "q": 5, "status": "done", "triples": []})
     ck.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
@@ -337,6 +347,19 @@ def test_cli_pair_exit_codes(capsys):
     assert "(1, 3, 5)" in out and "0 quadruples" in out
     assert main(["pair", "--p", "4", "--q", "3"]) == 3
     assert main(["pair", "--p", "3", "--q", "3"]) == 3
+
+
+def test_cli_pair_runtime_value_error_exits_1(monkeypatch, capsys):
+    # Only PrimePair.of's ValueError is a usage error; one from the pipeline
+    # is a runtime error.
+    import sqsearch.campaign as campaign
+
+    def failing(pair):
+        raise ValueError("pipeline failure")
+
+    monkeypatch.setattr(campaign, "search_pair", failing)
+    assert main(["pair", "--p", "2", "--q", "3"]) == 1
+    assert "pipeline failure" in capsys.readouterr().err
 
 
 def test_cli_oracle(capsys):

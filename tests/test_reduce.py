@@ -98,6 +98,46 @@ def test_reduce_full_monotone_stop():
         assert last.improvement < Fraction(1, 10) * last.B_in
 
 
+@pytest.mark.parametrize("pq,extra", [((2, 43), 0), ((2, 3), 1)], ids=["2-43", "2-3"])
+def test_reduce_full_certifies_each_bound_once(monkeypatch, pq, extra):
+    # {2,43}'s last step does not improve, so it already holds the final B1;
+    # {2,3} stops on a small improvement and needs one gap at its last B2.
+    calls = []
+
+    def counting(pair, B):
+        calls.append(B)
+        return linear_form_gap(pair, B)
+
+    monkeypatch.setattr(reduce_module, "linear_form_gap", counting)
+    trace = reduce_full(PrimePair.of(*pq))
+    assert (trace.steps[-1].improvement <= 0) == (extra == 0)
+    assert len(calls) == len(trace.steps) + extra
+    assert len(set(calls)) == len(calls)
+
+
+def _criteria_sample():
+    from random import Random
+
+    from sqsearch.campaign import primes_in_range
+    rng = Random(18)
+    odd = primes_in_range(3, 299)
+    return ([(2, 43), (2, 3)] + [(2, q) for q in rng.sample(primes_in_range(3, 10 ** 4), 12)]
+            + [tuple(sorted(rng.sample(odd, 2))) for _ in range(12)])
+
+
+@pytest.mark.parametrize("pq", _criteria_sample(), ids=lambda pq: f"{pq[0]}-{pq[1]}")
+def test_reduce_full_final_B1_and_rungs_as_recertified(pq):
+    # The trace's B1 and rung, and each step's rung, are what a fresh gap
+    # certificate at that bound gives.
+    pair = PrimePair.of(*pq)
+    trace = reduce_full(pair)
+    cert = linear_form_gap(pair, trace.final_bound)
+    assert trace.final_B1 == reduce_module._b1_b2(pair, trace.final_bound, cert)[0]
+    assert trace.precision_bits == cert.precision_bits
+    for step in trace.steps:
+        assert step.precision_bits == linear_form_gap(pair, step.B_in).precision_bits
+
+
 def test_reduce_full_25_final_bound():
     trace = reduce_full(PAIR_25)
     assert trace.final_bound < 60
