@@ -159,16 +159,6 @@ def load_checkpoint(path: Path) -> dict[tuple[int, int], dict]:
     return records
 
 
-def _cut_torn_tail(path: Path) -> None:
-    # Drop the bytes after the last newline, so the next append starts a
-    # fresh line; load_checkpoint has already skipped them.
-    with open(path, "r+b") as fh:
-        raw = fh.read()
-        keep = raw.rfind(b"\n") + 1
-        if keep < len(raw):
-            fh.truncate(keep)
-
-
 # -- sweep --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -246,52 +236,51 @@ def _run_stride(tasks: list[tuple[int, int]], conn) -> None:
 
 def _run_forked(pending: list[tuple[int, int]], workers: int, consume) -> None:
     """Run pending on at most `workers` forked processes, worker k on the
-    fixed stride pending[k::n], each sending its records over a pipe of its
-    own.  A worker whose pipe ends before its stride does has died: the pair
-    it was on gets an error record naming the exit code, and the rest of its
-    stride runs again in the next round.  Every round settles at least one
-    pair per dead worker, so the loop ends.  No child outlives the call."""
+    fixed stride pending[k::n], n = min(workers, len(pending)), each sending
+    its records over a pipe of its own.  A worker whose pipe ends before its
+    stride does has died: the pair it was on gets an error record naming the
+    exit code, and one fresh worker takes the rest of its stride.  Each
+    replacement's stride is shorter, so the loop ends; at most `workers`
+    processes are ever alive, and none outlives the call."""
     # Imported here: only a sweep at workers > 1 forks, and the import adds
     # about 1 MB to the resident size of every other command.
     import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    children = []
+    n = min(workers, len(pending))
+    strides = [pending[k::n] for k in range(n)]  # each waits for a worker
+    running = {}  # reader -> [process, stride, records read, time of last]
     try:
-        while pending:
-            n = min(workers, len(pending))
-            running = {}  # reader -> [process, stride, records read, time of last]
-            for k in range(n):
+        while strides or running:
+            for stride in strides:
                 reader, writer = ctx.Pipe(duplex=False)
-                stride = pending[k::n]
                 proc = ctx.Process(target=_run_stride, args=(stride, writer), daemon=True)
                 proc.start()
                 # Only the child may hold the write end, or its death is no EOF.
                 writer.close()
-                children.append(proc)
                 running[reader] = [proc, stride, 0, time.perf_counter()]
-            pending = []
-            while running:
-                for reader in wait(list(running)):
-                    proc, stride, done, t_last = running[reader]
-                    try:
-                        rec = reader.recv()
-                    except (EOFError, OSError):  # OSError: it died mid-message
-                        del running[reader]
-                        reader.close()
-                        proc.join()
-                        if done < len(stride):
-                            p, q = stride[done]
-                            ms = int((time.perf_counter() - t_last) * 1000)
-                            consume(_error_record(
-                                p, q, f"worker exited with code {proc.exitcode}", ms))
-                            pending.extend(stride[done + 1:])
-                        continue
-                    running[reader][2:] = done + 1, time.perf_counter()
-                    consume(rec)
+            strides = []
+            for reader in wait(list(running)):
+                proc, stride, done, t_last = running[reader]
+                try:
+                    rec = reader.recv()
+                except (EOFError, OSError):  # OSError: it died mid-message
+                    del running[reader]
+                    reader.close()
+                    proc.join()
+                    if done < len(stride):
+                        p, q = stride[done]
+                        ms = int((time.perf_counter() - t_last) * 1000)
+                        consume(_error_record(
+                            p, q, f"worker exited with code {proc.exitcode}", ms))
+                        if done + 1 < len(stride):
+                            strides.append(stride[done + 1:])
+                    continue
+                running[reader][2:] = done + 1, time.perf_counter()
+                consume(rec)
     finally:
-        for proc in children:
+        for proc, *_ in running.values():
             proc.terminate()
             proc.join()
 
@@ -301,9 +290,10 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
     resume past already-checkpointed pairs.  At workers = 1 the pairs run in
     this process; above that they run on forked workers with fixed strides
     of the pair list (see _run_forked), and a worker that dies costs an
-    error record for the pair it was on.  The summary counts only records
-    of this sweep's own pairs.  A range with no pair raises ValueError
-    before the checkpoint is touched."""
+    error record for the pair it was on, while one fresh worker runs the
+    rest of its stride.  The summary counts only records of this sweep's
+    own pairs.  A range with no pair raises ValueError before the
+    checkpoint is touched."""
     t0 = time.perf_counter()
     pairs = _pair_list(spec)
     if not pairs:
@@ -327,9 +317,11 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
             path.unlink()
         done = load_checkpoint(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            _cut_torn_tail(path)
-        ckpt_file = open(path, "a", encoding="utf-8")
+        # Binary, as a torn tail can end inside a multi-byte sequence; cut
+        # the tail load_checkpoint skipped, so appends start a fresh line.
+        ckpt_file = open(path, "a+b")
+        ckpt_file.seek(0)
+        ckpt_file.truncate(ckpt_file.read().rfind(b"\n") + 1)
 
     pending = []
     for pq in pairs:
@@ -343,7 +335,7 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
         summary.pairs_processed += 1
         tally(rec)
         if ckpt_file is not None:
-            ckpt_file.write(json.dumps(rec, sort_keys=True) + "\n")
+            ckpt_file.write((json.dumps(rec, sort_keys=True) + "\n").encode())
             ckpt_file.flush()
 
     try:

@@ -143,19 +143,50 @@ def test_sweep_max_pairs_then_resume_on_workers(tmp_path, serial_records):
     assert records_sans_ms(ck) == serial_records
 
 
-def test_sweep_starts_no_more_workers_than_pairs(tmp_path, monkeypatch):
-    started = []
+@pytest.fixture
+def started(monkeypatch):
+    # Every process a sweep starts, in start order.
+    procs = []
     real_start = multiprocessing.process.BaseProcess.start
 
     def counting_start(self):
-        started.append(self)
+        procs.append(self)
         real_start(self)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return procs
+
+
+def test_sweep_starts_no_more_workers_than_pairs(tmp_path, started):
     spec = SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=7, workers=8,
                      checkpoint_path=tmp_path / "three.jsonl")
     assert sweep(spec).pairs_processed == 3
     assert len(started) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_replaces_a_dead_worker_once(tmp_path, monkeypatch, serial_records, started):
+    # Worker 1's stride is q = 5, 11, 17, 23, 31; it dies on 5.  One fresh
+    # worker takes 11 .. 31 at once, so three starts in all, where a second
+    # round that split the rest over two workers would make four.
+    import sqsearch.campaign as campaign
+    parent, real_run = os.getpid(), campaign._run_pair
+
+    def dying(task):
+        if task[1] == 5 and os.getpid() != parent:
+            os._exit(7)
+        return real_run(task)
+
+    monkeypatch.setattr(campaign, "_run_pair", dying)
+    ck = tmp_path / "replaced.jsonl"
+    summary = sweep(SweepSpec(**WORKER_RANGE, workers=2, checkpoint_path=ck))
+    assert summary.pairs_processed == 11 and summary.errors == 1
+    assert len(started) == 3
+    records = records_sans_ms(ck)
+    assert len(records) == 11
+    lost = records.pop((2, 5))
+    assert lost["status"] == "error" and lost["error"] == "worker exited with code 7"
+    assert records == {k: v for k, v in serial_records.items() if k != (2, 5)}
     assert multiprocessing.active_children() == []
 
 
@@ -241,16 +272,22 @@ def test_sweep_all_pairs_mode_and_skip_33(tmp_path):
     assert sweep(spec33).pairs_total == 15
 
 
-def test_checkpoint_truncated_trailing_line(tmp_path):
-    ck = tmp_path / "trunc.jsonl"
-    good = json.dumps({"v": 1, "p": 2, "q": 3, "status": "done", "triples": []})
-    ck.write_text(good + "\n" + '{"v": 1, "p": 2, "q": 5, "stat', encoding="utf-8")
-    recs = load_checkpoint(ck)
-    assert list(recs) == [(2, 3)]
-    summary = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=3,
-                              workers=1, checkpoint_path=ck))
-    assert summary.pairs_skipped == 1 and summary.pairs_processed == 0
-    assert ck.read_text() == good + "\n"  # bad tail physically removed
+def test_checkpoint_truncated_trailing_line(tmp_path, capsys):
+    # The second tail was cut inside a two-byte UTF-8 sequence.
+    good = (json.dumps({"v": 1, "p": 2, "q": 3, "status": "done", "triples": []})
+            + "\n").encode()
+    for tail in (b'{"v": 1, "p": 2, "q": 5, "stat', b'{"p": 2, "q": 5, "st\xc3'):
+        ck = tmp_path / "trunc.jsonl"
+        ck.write_bytes(good + tail)
+        recs = load_checkpoint(ck)
+        assert list(recs) == [(2, 3)]
+        assert main(["report", "--checkpoint", str(ck)]) == 0
+        assert '"pairs": 1' in capsys.readouterr().out
+        assert ck.read_bytes() == good + tail  # report never writes
+        summary = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=3,
+                                  workers=1, checkpoint_path=ck))
+        assert summary.pairs_skipped == 1 and summary.pairs_processed == 0
+        assert ck.read_bytes() == good  # bad tail physically removed
 
 
 def test_report_leaves_checkpoint_byte_identical(tmp_path, capsys):

@@ -12,6 +12,7 @@ import sqsearch.search as search
 from sqsearch.search import (
     QuadrupleWitness,
     ResourceBudgetError,
+    Triple,
     brute_force_oracle,
     enumerate_candidate_pairs,
     extend_to_quadruples,
@@ -124,6 +125,18 @@ def test_quadruple_witness_verify_rejects_fabricated_witnesses():
     disordered = QuadrupleWitness(a=3, b=1, c=5, d=7, s=fake)
     with pytest.raises(AssertionError):
         disordered.verify(PAIR_23)
+
+
+def test_triple_verify_rejects_fabricated_witnesses():
+    # (1, 3, 5) over {2, 3} passes with its true witnesses 4, 6 and 16; a
+    # fabricated exponent or a disordered triple must fail re-verification.
+    real = [as_s_unit(v, PAIR_23) for v in (4, 6, 16)]
+    Triple(1, 3, 5, *real).verify(PAIR_23)
+    fake = [SUnit(4, 1, 1), real[1], real[2]]
+    with pytest.raises(AssertionError, match="witness mismatch"):
+        Triple(1, 3, 5, *fake).verify(PAIR_23)
+    with pytest.raises(AssertionError, match="ordering"):
+        Triple(3, 1, 5, *real).verify(PAIR_23)
 
 
 def test_search_pair_23_ground_truth():

@@ -61,3 +61,30 @@ def test_every_top_level_import_is_used():
                 unused += [f"{path.name}:{node.lineno} {name}" for name in bound
                            if name not in used]
     assert unused == []
+
+
+def _outside_functions(node: ast.AST):
+    # Every node that runs when the module is imported: function bodies are
+    # skipped, class bodies and module-level if/try blocks are not.
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def test_multiprocessing_is_not_imported_at_module_level():
+    # Only a sweep at workers > 1 forks.  Imported with a module, the package
+    # adds about 1 MB to the resident size of every other command, and the
+    # benchmark bounds peak_rss_mb at 10%; campaign imports it in _run_forked.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _outside_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules
+                      if m.split(".")[0] == "multiprocessing"]
+    assert found == []
