@@ -25,6 +25,7 @@ __all__ = [
     "GapCertificate",
     "certified_log",
     "log_of_fraction",
+    "log_upper",
     "linear_form_gap",
     "product",
     "scale",
@@ -77,7 +78,9 @@ def product(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
 #   instead of up to 50, on w-bit operands however large n and d are.  Per
 #   call on random 200-bit ratios (2-core Xeon, Python 3.11.7): 11-17 us
 #   instead of 36-41 us at w = 160, and 20-33 us instead of 96-113 us at
-#   w = 288.
+#   w = 288.  log_upper is its high end alone: each end's recurrence reads
+#   only its own mantissas, and the high end's also fixes the number of
+#   terms, so dropping the low end leaves the high end bit for bit.
 _TABLE_BITS = 5  # K
 
 
@@ -154,9 +157,10 @@ def certified_log(n: int, bits: int) -> tuple[int, int]:
     return lo, hi
 
 
-def log_of_fraction(n: int, d: int, bits: int) -> tuple[int, int]:
-    """Enclosure (lo, hi) at scale(bits) of ln(n/d) for positive integers
-    n and d, outward rounded."""
+def _table_log(n: int, d: int, bits: int, lower: bool) -> tuple[int, int]:
+    # (lo, hi) of log_of_fraction.  The upper end's recurrence sets the terms
+    # (up to tp_hi <= 8); the lower end's runs beside it only when lower is
+    # set, else tp_lo and s_lo stay 0 and lo is not to be read.
     w = scale(bits)
     e_lo, e_hi, num, den = _split(n, d, w)
     # The table point c = k / 2^K with k = floor(2^K * r), r = num/den, and
@@ -164,24 +168,35 @@ def log_of_fraction(n: int, d: int, bits: int) -> tuple[int, int]:
     k = (num << _TABLE_BITS) // den
     a = (num << _TABLE_BITS) - den * k
     b = (num << _TABLE_BITS) + den * k
-    tp_lo = (a << w) // b
-    tp_hi = -(-(a << w) // b)
-    t2_lo = tp_lo * tp_lo >> w
-    t2_hi = -(-(tp_hi * tp_hi) >> w)
+    tp_lo, tp_hi = (a << w) // b if lower else 0, -(-(a << w) // b)
+    t2_lo, t2_hi = tp_lo * tp_lo >> w, -(-(tp_hi * tp_hi) >> w)
     s_lo = s_hi = 0
-    for d in count(1, 2):
-        s_lo += tp_lo // d
-        s_hi += -(-tp_hi // d)
+    for j in count(1, 2):
+        s_hi += -(-tp_hi // j)
+        if lower:
+            s_lo += tp_lo // j
         if tp_hi <= 8:
             break
-        tp_lo = tp_lo * t2_lo >> w
         tp_hi = -(-(tp_hi * t2_hi) >> w)
+        if lower:
+            tp_lo = tp_lo * t2_lo >> w
     c_lo, c_hi = _ln_table(k, w)
     # s_hi + 2: the tail rule of _atanh_scaled, with t^2 < 2^-12.
-    lo, hi = e_lo + c_lo + 2 * s_lo, e_hi + c_hi + 2 * (s_hi + 2)
+    return e_lo + c_lo + 2 * s_lo, e_hi + c_hi + 2 * (s_hi + 2)
+
+
+def log_of_fraction(n: int, d: int, bits: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) at scale(bits) of ln(n/d) for positive integers
+    n and d, outward rounded."""
+    lo, hi = _table_log(n, d, bits, True)
     if lo > hi:
         raise ValueError("empty enclosure")
     return lo, hi
+
+
+def log_upper(n: int, d: int, bits: int) -> int:
+    """The high end of log_of_fraction(n, d, bits), bit for bit."""
+    return _table_log(n, d, bits, False)[1]
 
 
 # -- continued fraction of log q / log p ------------------------------------
@@ -251,6 +266,21 @@ def _abs_linear_form(c: Convergent, lp: tuple[int, int], lq: tuple[int, int]) ->
     raise _Ambiguous
 
 
+def _must_fail(lp: tuple[int, int], lq: tuple[int, int], Q_cut: int, P_cut: int) -> bool:
+    # True when _expand(lp, lq, Q_cut, P_cut) must raise _Ambiguous.  Its ends
+    # are lo = lq.lo/lp.hi and hi = lq.hi/lp.lo, eps = hi - lo, and it returns
+    # only once both ends share a_0..a_k for a guard with Q_k >= Q_cut or
+    # P_k >= P_cut.  The reals whose expansion starts a_0..a_k (a cylinder)
+    # fill a half-open interval of length 1/(Q_k(Q_k + Q_{k-1})) with P_k/Q_k
+    # as an end.  So eps < 1/Q_k^2, and P_k < Q_k*hi + 1/Q_k <= Q_k*hi + 1:
+    # a guard with P_k >= P_cut has Q_k > (P_cut - 1)/hi.  Hence no guard
+    # exists when eps * Q_cut^2 >= 1 and eps * ((P_cut - 1)/hi)^2 >= 1, the
+    # two tests below with their denominators cleared.
+    eps = lq[1] * lp[1] - lq[0] * lp[0]  # eps * lp.lo * lp.hi
+    return (eps * Q_cut * Q_cut >= lp[0] * lp[1]
+            and eps * (P_cut - 1) ** 2 * lp[0] >= lp[1] * lq[1] ** 2)
+
+
 def linear_form_gap(pair, B) -> GapCertificate:
     """Certified delta > 0 below |P log p - Q log q| for every convergent of
     log q / log p within the reduction cutoffs Q < 2B/log q, P < 2B/log p.
@@ -276,6 +306,9 @@ def linear_form_gap(pair, B) -> GapCertificate:
         Q_cut = -(-(2 * B.numerator << w) // (B.denominator * lq[0]))
         P_cut = -(-(2 * B.numerator << w) // (B.denominator * lp[0]))
         try:
+            # A rung that must fail skips its expansion; the same rungs fail.
+            if _must_fail(lp, lq, Q_cut, P_cut):
+                raise _Ambiguous
             convs = _expand(lp, lq, Q_cut, P_cut)
             pool = convs[:-1] if len(convs) > 1 else convs
             min_low = min(_abs_linear_form(c, lp, lq) for c in pool)

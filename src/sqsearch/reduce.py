@@ -18,6 +18,7 @@ from .diolog import (
     certified_log,
     linear_form_gap,
     log_of_fraction,
+    log_upper,
     product,
     scale,
 )
@@ -82,7 +83,9 @@ class ExponentBox:
 def _pair_constants(p: int, q: int, bits: int) -> tuple:
     # The rung's scale w, and (lo, hi) mantissas at 2^-w of log p, log q,
     # ln(log p * log q), the majorant's leading factor c = 1.36e23 * (log p *
-    # log q)^3 and its three offsets 1.63, 2.71 and 2.08 - ln(log p * log q).
+    # log q)^3 and its three offsets 1.63, 2.71 and 2.08 - ln(log p * log q);
+    # last, the least e >= 0 with e * lo(ln 2) + o3.lo >= 0, lo(ln 2) being
+    # the low end that _split gives log_of_fraction.
     w, lp, lq = scale(bits), certified_log(p, bits), certified_log(q, bits)
     lpq = product(lp, lq, w)
     # 1.36e23 is the integer k, so k * lpq is exact on the mantissas.
@@ -92,14 +95,24 @@ def _pair_constants(p: int, q: int, bits: int) -> tuple:
     ln_lpq = (log_of_fraction(lpq[0], 1 << w, bits)[0],
               log_of_fraction(lpq[1], 1 << w, bits)[1])
     o1, o2, o3 = (((n << w) // 100, -(-(n << w) // 100)) for n in (163, 271, 208))
-    return w, lp, lq, ln_lpq, c, o1, o2, (o3[0] - ln_lpq[1], o3[1] - ln_lpq[0])
+    o3 = (o3[0] - ln_lpq[1], o3[1] - ln_lpq[0])
+    return w, lp, lq, ln_lpq, c, o1, o2, o3, max(0, -(o3[0] // certified_log(2, bits)[0]))
 
 
 def _f_upper(x: int, pair: PrimePair, bits: int) -> int:
     # Upper endpoint, a mantissa at scale(bits), of the Baker-type majorant
     # evaluated at log d = x, as c * (lx + 1.63) * (lx + 2.71) * (t3 * t3)
     # with t3 = lx + o3, each product rounded outward on the mantissas.
-    w, *_, c, o1, o2, o3 = _pair_constants(pair.p, pair.q, bits)
+    w, *_, c, o1, o2, o3, e_pos = _pair_constants(pair.p, pair.q, bits)
+    if x.bit_length() > e_pos:
+        # lo(ln x) >= floor(log2 x) * lo(ln 2) (_split's e_lo) makes every
+        # factor's low end >= 0, so each product's high end is the product
+        # of the high ends: the same mantissa, read on high ends alone.
+        lx = log_upper(x, 1, bits)
+        f = -(-(c[1] * (lx + o1[1])) >> w)
+        f = -(-(f * (lx + o2[1])) >> w)
+        t3 = lx + o3[1]
+        return -(-(f * -(-(t3 * t3) >> w)) >> w)
     lx = log_of_fraction(x, 1, bits)
     t1, t2, t3 = ((lx[0] + o[0], lx[1] + o[1]) for o in (o1, o2, o3))
     return product(product(product(c, t1, w), t2, w), product(t3, t3, w), w)[1]
@@ -146,10 +159,10 @@ def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction
     bits = cert.precision_bits
     w, lp, lq, ln_lpq, *_ = _pair_constants(pair.p, pair.q, bits)
     delta = cert.delta
-    b1_gap = log_of_fraction(2 * delta.denominator, delta.numerator, bits)[1]
-    b1_size = log_of_fraction(8 * B.numerator, B.denominator, bits)[1] - ln_lpq[0]
+    b1_gap = log_upper(2 * delta.denominator, delta.numerator, bits)
+    b1_size = log_upper(8 * B.numerator, B.denominator, bits) - ln_lpq[0]
     b1 = max(b1_gap, b1_size)
-    tail = log_of_fraction(2 * b1 * b1, 1 << 2 * w, bits)[1] - ln_lpq[0]
+    tail = log_upper(2 * b1 * b1, 1 << 2 * w, bits) - ln_lpq[0]
     b2 = 2 * b1 + pair.u_q * lq[1] + pair.u_p * lp[1] + tail
     return Fraction(b1, 1 << w), Fraction(b2, 1 << w)
 

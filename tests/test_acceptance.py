@@ -2,6 +2,8 @@
 the measured quantities.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sqsearch.arith import PrimePair, as_s_unit, lb1_modulus
-from sqsearch.campaign import SweepSpec, load_checkpoint, sweep
+from sqsearch.campaign import SweepSpec, load_checkpoint, main, sweep
 from sqsearch.diolog import certified_log, linear_form_gap, scale
 from sqsearch.reduce import exponent_box, initial_bound, reduce_full
 from sqsearch.search import brute_force_oracle, lemma_predicates, search_pair
@@ -20,6 +22,7 @@ GROUND_TRUTH_23 = [(1, 3, 5), (1, 5, 7), (1, 7, 23), (1, 15, 17), (1, 31, 47)]
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 SWEEP5_RANGE = dict(mode="fixed-p", p_fixed=2, q_min=3, q_max=9999)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _records_sans_ms(path):
@@ -53,6 +56,15 @@ def sweep5(tmp_path_factory):
     ck = tmp_path_factory.mktemp("acceptance") / "sweep5.jsonl"
     t0 = time.perf_counter()
     summary = sweep(SweepSpec(**SWEEP5_RANGE, workers=8, checkpoint_path=ck))
+    return ck, summary, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def sweep6(tmp_path_factory):
+    ck = tmp_path_factory.mktemp("acceptance") / "sweep6.jsonl"
+    t0 = time.perf_counter()
+    summary = sweep(SweepSpec(mode="all-pairs", q_min=3, q_max=299,
+                              workers=8, checkpoint_path=ck))
     return ck, summary, time.perf_counter() - t0
 
 
@@ -124,12 +136,8 @@ def test_criterion_05_sweep_2q_to_10000(sweep5):
           f"0 quadruples, {dt:.0f} s")
 
 
-def test_criterion_06_sweep_all_pairs_to_300(tmp_path):
-    ck = tmp_path / "sweep6.jsonl"
-    t0 = time.perf_counter()
-    summary = sweep(SweepSpec(mode="all-pairs", q_min=3, q_max=299,
-                              workers=8, checkpoint_path=ck))
-    dt = time.perf_counter() - t0
+def test_criterion_06_sweep_all_pairs_to_300(sweep6):
+    _, summary, dt = sweep6
     assert summary.pairs_total == 1830  # 61 odd primes below 300
     assert summary.quadruples_found == 0
     assert summary.errors == 0
@@ -258,3 +266,37 @@ def test_criterion_10_campaign_robustness(sweep5, tmp_path):
     assert _records_sans_ms(ck_w1) == straight
     print("\nACCEPTANCE 10 PASS: kill-and-resume and workers=1 vs workers=8 "
           "all yield identical checkpoint record sets")
+
+
+# SHA-256 of each sweep's records without `ms`, one json.dumps(rec,
+# sort_keys=True) line per record in (p, q) order: any change to a bound,
+# a delta, a box or a tuple in criteria 5 and 6 changes its digest.
+PINNED_DIGESTS = {
+    "sweep5": "4dc967a29435ce68ce546d382766390aeba5cf93f72c41cf941d1961081d4636",
+    "sweep6": "0ffa32ea89a8791f045fd7a2c5dd26f5324486baeedf172d2712f8cb5c5a1bb3",
+}
+
+
+def _digest(path):
+    h = hashlib.sha256()
+    for _, rec in sorted(_records_sans_ms(path).items()):
+        h.update((json.dumps(rec, sort_keys=True) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_sweep_records_match_pinned_digests(sweep5, sweep6):
+    assert _digest(sweep5[0]) == PINNED_DIGESTS["sweep5"]
+    assert _digest(sweep6[0]) == PINNED_DIGESTS["sweep6"]
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (2, 999999937), (99989, 99991)],
+                         ids=lambda pq: f"{pq[0]}-{pq[1]}")
+def test_pair_json_matches_golden_file(pq, tmp_path):
+    # `pair --json` without its wall time: initial bound, every step with its
+    # exact delta, the box and the tuples.
+    out = tmp_path / "pair.json"
+    main(["pair", "--p", str(pq[0]), "--q", str(pq[1]), "--json", str(out)])
+    rec = json.loads(out.read_text(encoding="utf-8"))
+    del rec["ms"]
+    golden = GOLDEN / f"pair_{pq[0]}_{pq[1]}.json"
+    assert rec == json.loads(golden.read_text(encoding="utf-8"))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from sqsearch import diolog
-from sqsearch.arith import PrimePair
+from sqsearch.arith import PrimePair, is_prime
 from sqsearch.diolog import (
     Convergent,
     PrecisionError,
     certified_log,
     linear_form_gap,
     log_of_fraction,
+    log_upper,
     product,
 )
 
@@ -213,6 +215,57 @@ def test_linear_form_gap_precision_exhaustion(monkeypatch):
         linear_form_gap(PAIR_23, Fraction(16, 10) * 10 ** 30)
 
 
+def _skip_draws(n, seed):
+    # (pair, B): for half the draws, B is a random 48-bit fraction times 10^k,
+    # k <= 60; for the other half, B puts eps * (2B / log q)^2 in [1/2, 1) at
+    # the 128- or 256-bit rung, the band where a rule loose by a factor of 2
+    # in eps would skip a rung that succeeds.
+    rng = random.Random(seed)
+    primes = [r for r in range(2, 10 ** 4) if is_prime(r)]
+    primes += [999983, 1000003, 99999989, 999999937]
+    draws = []
+    for i in range(n):
+        p, q = sorted(rng.sample(primes, 2))
+        if i % 2:
+            B = Fraction(rng.randrange(1 << 48), 1 << 48) * 10 ** rng.randrange(61)
+            B = max(B, Fraction(1))
+        else:
+            bits = 128 << i % 4 // 2
+            lp, lq = (ends(certified_log(r, bits), bits) for r in (p, q))
+            eps = lq[1] / lp[0] - lq[0] / lp[1]
+            target = rng.uniform(0.5, 1.0) / float(eps)
+            B = Fraction(int(target ** 0.5 * float(lq[0]) / 2) + 1)
+        draws.append((PrimePair.of(p, q), B))
+    return draws
+
+
+def test_linear_form_gap_skips_only_rungs_that_must_fail(monkeypatch):
+    # The cylinder rule of _must_fail: every rung it skips is one where
+    # _expand raises _Ambiguous, and with skipping turned off the loop
+    # certifies at the same rung with the same delta and convergents.
+    must_fail = diolog._must_fail
+    skipping = True
+    skipped = []
+
+    def spy(lp, lq, Q_cut, P_cut):
+        if skipping and must_fail(lp, lq, Q_cut, P_cut):
+            skipped.append((lp, lq, Q_cut, P_cut))
+            return True
+        return False
+
+    monkeypatch.setattr(diolog, "_must_fail", spy)
+    draws = _skip_draws(2000, 20261019)
+    for pair, B in draws:
+        skipping = True
+        cert = linear_form_gap(pair, B)
+        skipping = False
+        assert linear_form_gap(pair, B) == cert, (pair, B)
+    assert len(skipped) > len(draws) // 4
+    for args in skipped:
+        with pytest.raises(diolog._Ambiguous):
+            diolog._expand(*args)
+
+
 def test_cf_convergents_explicit_bits_consistent():
     a = cf_convergents(2, 3, Q_cut=10 ** 9, P_cut=10 ** 9, bits=256)
     b = cf_convergents(2, 3, Q_cut=10 ** 9, P_cut=10 ** 9, bits=512)
@@ -249,6 +302,18 @@ def test_log_of_fraction_one_series_encloses_ln(nd, bits):
     slack = Fraction(1, 1 << 1100)  # mpmath's own rounding at 1200 bits
     assert lo - slack <= ln <= hi + slack
     assert hi - lo <= Fraction(1, 1 << bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator_denominator(), st.sampled_from((16, 128, 256, 1024)))
+@example((1, (1 << 512) - 1), 16)
+@example(((1 << 512) - 1, 1), 256)
+@example((3, 4), 16)
+@example((5, 5), 128)
+@example((1, 1 << 511), 1024)
+def test_log_upper_is_the_high_end(nd, bits):
+    n, d = nd
+    assert log_upper(n, d, bits) == log_of_fraction(n, d, bits)[1]
 
 
 def test_cf_convergents_integer_cutoffs_match_fraction_comparison():

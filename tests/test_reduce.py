@@ -406,3 +406,25 @@ def test_integer_chain_equals_enclosure_formulas(a, b, x, B):
     w = diolog.scale(reduce_module.START_BITS)
     assert Fraction(reduce_module._f_upper(x, pair, reduce_module.START_BITS), 1 << w) == F
     assert reduce_module._b1_b2(pair, B, cert) == (B1, B2)
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (99989, 99991)], ids=lambda pq: f"{pq[0]}-{pq[1]}")
+def test_f_upper_high_ends_equal_the_product_path(pq):
+    # Where floor(log2 x) * lo(ln 2) shows every factor positive, _f_upper
+    # multiplies high ends alone; the outward products on both ends must give
+    # the same mantissa.  {99989, 99991} has t3 < 0 near x = 4, so the range
+    # crosses the switch; {2, 3} is on the fast side from x = 4.
+    bits = reduce_module.START_BITS
+    w, *_, c, o1, o2, o3, e_pos = reduce_module._pair_constants(*pq, bits)
+    product = diolog.product
+
+    def product_path(x):
+        lx = diolog.log_of_fraction(x, 1, bits)
+        t1, t2, t3 = ((lx[0] + o[0], lx[1] + o[1]) for o in (o1, o2, o3))
+        return product(product(product(c, t1, w), t2, w), product(t3, t3, w), w)[1]
+
+    assert (e_pos > 2) == (pq == (99989, 99991))
+    xs = list(range(4, 1 << 10)) + [(1 << e) + d for e in range(10, 4097, 7) for d in (-1, 0, 1)]
+    pair = PrimePair.of(*pq)
+    for x in xs:
+        assert reduce_module._f_upper(x, pair, bits) == product_path(x), x
