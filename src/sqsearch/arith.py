@@ -80,16 +80,16 @@ class SUnit:
 
 @dataclass(frozen=True)
 class PrimePair:
-    """Two distinct primes p, q with their order and lifting constants.
+    """Two distinct primes p, q with their lifting constants.
 
-    ord_pq is the multiplicative order of p modulo q (modulo 4 when q = 2)
-    and u_q the exact q-adic valuation of p^ord_pq - 1; u_p is the symmetric
-    valuation with p and q swapped.
+    u_q is the exact q-adic valuation of p^ord_pq - 1, where ord_pq is the
+    multiplicative order of p modulo q (modulo 4 when q = 2); u_p is the
+    symmetric valuation with p and q swapped.  The pipeline reads only u_q
+    and u_p, so ord_pq is computed when read.
     """
 
     p: int
     q: int
-    ord_pq: int
     u_q: int
     u_p: int
 
@@ -100,9 +100,16 @@ class PrimePair:
         for r in (p, q):
             if not is_prime(r):
                 raise ValueError(f"{r} is not prime")
-        ord_pq, u_q = lifting_constant(p, q)
-        _, u_p = lifting_constant(q, p)
-        return cls(p=p, q=q, ord_pq=ord_pq, u_q=u_q, u_p=u_p)
+        # u = v_q(p^(q-1) - 1) for odd q, with no order to find: ord divides
+        # q - 1 and (q - 1)/ord is prime to q, so by the lifting-the-exponent
+        # lemma it is v_q(p^ord - 1).  q = 2 keeps the order mod 4, 1 or 2.
+        u_q, u_p = (_lift(a, b, b - 1 if b > 2 else multiplicative_order(a, 4))
+                    for a, b in ((p, q), (q, p)))
+        return cls(p=p, q=q, u_q=u_q, u_p=u_p)
+
+    @property
+    def ord_pq(self) -> int:
+        return lifting_constant(self.p, self.q)[0]
 
 
 def as_s_unit(n: int, pair: PrimePair) -> SUnit | None:
@@ -154,18 +161,19 @@ def multiplicative_order(base: int, modulus: int) -> int:
     return order
 
 
+def _lift(p: int, q: int, e: int) -> int:
+    # q-adic valuation of p^e - 1 without forming p^e: test ever higher
+    # prime-power moduli.  Callers pass a multiple e of the order, so u >= 1.
+    u = 1
+    while pow(p, e, q ** (u + 1)) == 1:
+        u += 1
+    return u
+
+
 def lifting_constant(p: int, q: int) -> tuple[int, int]:
     """(ord, u) with ord the order of p mod q (mod 4 if q = 2) and q^u || p^ord - 1."""
-    if q == 2:
-        ord_ = multiplicative_order(p, 4)
-    else:
-        ord_ = multiplicative_order(p, q)
-    # q-adic valuation of p^ord - 1 without forming p^ord: test ever higher
-    # prime-power moduli.  u >= 1 holds by the definition of ord.
-    u = 1
-    while pow(p, ord_, q ** (u + 1)) == 1:
-        u += 1
-    return ord_, u
+    ord_ = multiplicative_order(p, 4 if q == 2 else q)
+    return ord_, _lift(p, q, ord_)
 
 
 def lb1_modulus(pair: PrimePair, z: int) -> int:

@@ -1,5 +1,8 @@
-"""Batch campaigns: prime sweeps on forked workers, JSONL checkpointing with
-resume, and the command-line interface.
+"""Batch campaigns: the prime sieve, sweeps on forked workers with resume,
+and the command-line interface.
+
+`sqsearch.checkpoint` owns the checkpoint file; a forced restart skips the
+resume and empties the file through its append handle.
 
 A sweep at workers = N > 1 forks N processes (the `fork` start method,
 pinned, not the platform default), gives each a fixed stride of the pair
@@ -18,16 +21,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import decimal
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .arith import PrimePair, is_prime
+from .checkpoint import (SCHEMA_VERSION, Appender, CheckpointError, dec15, error_record,
+                         iter_records, record_from_report)
 from .search import (
     MAX_ORACLE_HEIGHT,
     PairReport,
@@ -39,7 +42,6 @@ from .search import (
 __all__ = [
     "SweepSpec",
     "SweepSummary",
-    "CheckpointError",
     "primes_in_range",
     "load_checkpoint",
     "sweep",
@@ -47,16 +49,10 @@ __all__ = [
     "entry",
 ]
 
-SCHEMA_VERSION = 1
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOTABLE = 2
 EXIT_USAGE = 3
-
-
-class CheckpointError(Exception):
-    """Unreadable or corrupt checkpoint file."""
 
 
 # -- primes -------------------------------------------------------------------
@@ -83,80 +79,10 @@ def primes_in_range(lo: int, hi: int, segment: int = 1 << 20) -> list[int]:
 
 # -- checkpoint ---------------------------------------------------------------
 
-def _dec15(x: Fraction) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = 15
-        return str(decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator))
-
-
-def record_from_report(report: PairReport) -> dict:
-    rec = {
-        "v": SCHEMA_VERSION,
-        "p": report.pair.p,
-        "q": report.pair.q,
-        "status": "done",
-        "final_bound": _dec15(report.trace.final_bound),
-        "b1": _dec15(report.trace.final_B1),
-        "pair_count": report.pair_count,
-        "triple_candidates": report.triple_candidates,
-        "triples": [[t.a, t.b, t.c] for t in report.triples],
-        "quad_candidates": report.quad_candidates,
-        "quadruples": [[w.a, w.b, w.c, w.d] for w in report.quadruples],
-        "ms": report.wall_ms,
-    }
-    if report.flags:
-        rec["flags"] = list(report.flags)
-    return rec
-
-
-def _error_record(p: int, q: int, message: str, ms: int) -> dict:
-    return {"v": SCHEMA_VERSION, "p": p, "q": q, "status": "error",
-            "error": message, "ms": ms}
-
-
-def _fields_well_typed(rec: dict) -> bool:
-    # The optional fields that sweep and report read; a missing one reads as
-    # empty or 0, and a bool is no int here.
-    def rows(v, n: int) -> bool:
-        return type(v) is list and all(
-            type(t) is list and len(t) == n and all(type(x) is int for x in t) for t in v)
-    flags = rec.get("flags", [])
-    return (rows(rec.get("triples", []), 3) and rows(rec.get("quadruples", []), 4)
-            and type(flags) is list and all(type(f) is str for f in flags)
-            and type(rec.get("ms", 0)) is int)
-
-
 def load_checkpoint(path: Path) -> dict[tuple[int, int], dict]:
-    """Parse a JSONL checkpoint without modifying it.  A torn tail, the bytes
-    after the last newline, is skipped with a warning, because a record
-    counts only once its newline is written; a corrupt line anywhere else
-    refuses to load."""
-    records: dict[tuple[int, int], dict] = {}
-    if not path.exists():
-        return records
-    *lines, tail = path.read_bytes().split(b"\n")
-    if tail.strip():
-        print(f"warning: skipping torn trailing line in {path}", file=sys.stderr)
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            # A record without a known status would count its pair as done;
-            # a p or q that is no int, or an ill-typed triples, quadruples,
-            # flags or ms, would fail later without naming its line, or fake
-            # a quadruple.
-            if (not isinstance(rec, dict) or type(rec.get("p")) is not int
-                    or type(rec.get("q")) is not int
-                    or rec.get("status") not in ("done", "error")
-                    or not _fields_well_typed(rec)):
-                raise ValueError("missing or malformed fields")
-        except ValueError as exc:
-            raise CheckpointError(
-                f"corrupt checkpoint line {i + 1} in {path}; "
-                f"use --force-restart to discard") from exc
-        records[(rec["p"], rec["q"])] = rec
-    return records
+    """The records of a checkpoint by pair, the last one of a pair winning
+    (see checkpoint.iter_records)."""
+    return {(rec["p"], rec["q"]): rec for rec in iter_records(path)}
 
 
 # -- sweep --------------------------------------------------------------------
@@ -224,7 +150,7 @@ def _run_pair(task: tuple[int, int]) -> dict:
         return record_from_report(report)
     except Exception as exc:  # worker failures isolate to their pair
         ms = int((time.perf_counter() - t0) * 1000)
-        return _error_record(p, q, f"{type(exc).__name__}: {exc}", ms)
+        return error_record(p, q, f"{type(exc).__name__}: {exc}", ms)
 
 
 def _run_stride(tasks: list[tuple[int, int]], conn) -> None:
@@ -272,7 +198,7 @@ def _run_forked(pending: list[tuple[int, int]], workers: int, consume) -> None:
                     if done < len(stride):
                         p, q = stride[done]
                         ms = int((time.perf_counter() - t_last) * 1000)
-                        consume(_error_record(
+                        consume(error_record(
                             p, q, f"worker exited with code {proc.exitcode}", ms))
                         if done + 1 < len(stride):
                             strides.append(stride[done + 1:])
@@ -310,18 +236,12 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
             summary.notable.append((rec["p"], rec["q"]))
 
     done: dict[tuple[int, int], dict] = {}
-    ckpt_file = None
+    ckpt = None
     if spec.checkpoint_path is not None:
         path = Path(spec.checkpoint_path)
-        if force_restart and path.exists():
-            path.unlink()
-        done = load_checkpoint(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Binary, as a torn tail can end inside a multi-byte sequence; cut
-        # the tail load_checkpoint skipped, so appends start a fresh line.
-        ckpt_file = open(path, "a+b")
-        ckpt_file.seek(0)
-        ckpt_file.truncate(ckpt_file.read().rfind(b"\n") + 1)
+        if not force_restart:
+            done = load_checkpoint(path)
+        ckpt = Appender(path, restart=force_restart)
 
     pending = []
     for pq in pairs:
@@ -334,9 +254,8 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
     def consume(rec: dict) -> None:
         summary.pairs_processed += 1
         tally(rec)
-        if ckpt_file is not None:
-            ckpt_file.write((json.dumps(rec, sort_keys=True) + "\n").encode())
-            ckpt_file.flush()
+        if ckpt is not None:
+            ckpt.append(rec)
 
     try:
         if spec.workers <= 1:
@@ -345,8 +264,8 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
         else:
             _run_forked(pending, spec.workers, consume)
     finally:
-        if ckpt_file is not None:
-            ckpt_file.close()
+        if ckpt is not None:
+            ckpt.close()
 
     summary.wall_ms = int((time.perf_counter() - t0) * 1000)
     return summary
@@ -368,10 +287,10 @@ class _UsageError(Exception):
 def _print_report(report: PairReport) -> None:
     pair = report.pair
     print(f"pair ({pair.p}, {pair.q})")
-    print(f"  initial bound on log d : {_dec15(report.trace.B0)}")
+    print(f"  initial bound on log d : {dec15(report.trace.B0)}")
     for i, s in enumerate(report.trace.steps, start=1):
-        print(f"  step {i}: log d < {_dec15(s.B2)}   (delta = {_dec15(s.delta)})")
-    print(f"  final bound            : {_dec15(report.trace.final_bound)}")
+        print(f"  step {i}: log d < {dec15(s.B2)}   (delta = {dec15(s.delta)})")
+    print(f"  final bound            : {dec15(report.trace.final_bound)}")
     box = report.box
     print(f"  exponent caps          : a1,a2 <= {box.a12_cap}; b1,b2 <= {box.b12_cap}; "
           f"a3..a6 <= {box.a_cap}; b3..b6 <= {box.b_cap}")
@@ -391,10 +310,10 @@ def _print_report(report: PairReport) -> None:
 
 def _report_json(report: PairReport) -> dict:
     rec = record_from_report(report)
-    rec["initial_bound"] = _dec15(report.trace.B0)
+    rec["initial_bound"] = dec15(report.trace.B0)
     rec["steps"] = [
-        {"B_in": _dec15(s.B_in), "B1": _dec15(s.B1), "B2": _dec15(s.B2),
-         "delta": _dec15(s.delta),
+        {"B_in": dec15(s.B_in), "B1": dec15(s.B1), "B2": dec15(s.B2),
+         "delta": dec15(s.delta),
          "delta_exact": f"{s.delta.numerator}/{s.delta.denominator}"}
         for s in report.trace.steps
     ]

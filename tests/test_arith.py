@@ -95,6 +95,24 @@ def test_prime_pair_constants_exact_division():
         assert pow(p, pair.ord_pq, q ** (pair.u_q + 1)) != 1
 
 
+# Pairs with q^2 | p^(q-1) - 1, so u_q = 2 (q is a base-p Wieferich prime).
+WIEFERICH_TYPE = [(2, 1093), (2, 3511), (3, 11), (3, 1006003), (5, 20771), (7, 491531)]
+
+
+def test_prime_pair_lifts_match_lifting_constant():
+    # PrimePair.of finds u without the order (lifting the exponent from
+    # q - 1); lifting_constant finds it from the order itself.
+    primes = [n for n in range(1000) if is_prime(n)]
+    pairs = [(p, q) for p in primes for q in primes if p != q]
+    assert len(pairs) == 28056
+    pairs += WIEFERICH_TYPE + [(q, p) for p, q in WIEFERICH_TYPE]
+    u = {(p, q): lifting_constant(p, q)[1] for p, q in pairs}
+    for p, q in pairs:
+        pair = PrimePair.of(p, q)
+        assert (pair.u_q, pair.u_p) == (u[p, q], u[q, p])
+    assert [u[pq] for pq in WIEFERICH_TYPE] == [2] * 6
+
+
 @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30),
        st.sampled_from(PRIMES_UNDER_100), st.sampled_from(PRIMES_UNDER_100))
 @settings(max_examples=300, deadline=None)

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,16 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqsearch.arith import PrimePair, is_prime
-from sqsearch.campaign import (
+from sqsearch.campaign import SweepSpec, load_checkpoint, main, primes_in_range, sweep
+from sqsearch.checkpoint import (
     CheckpointError,
-    SweepSpec,
-    _dec15,
-    _error_record,
-    load_checkpoint,
-    main,
-    primes_in_range,
+    dec15,
+    error_record,
+    iter_records,
     record_from_report,
-    sweep,
 )
 from sqsearch.search import search_pair
 
@@ -55,8 +53,8 @@ def test_primes_in_range_matches_is_prime_across_segments(lo, span):
 
 def test_dec15_formatting():
     from fractions import Fraction
-    assert _dec15(Fraction(1, 3)).startswith("0.3333333333333")
-    assert _dec15(Fraction(16, 10) * 10 ** 30) == "1.60000000000000E+30"
+    assert dec15(Fraction(1, 3)).startswith("0.3333333333333")
+    assert dec15(Fraction(16, 10) * 10 ** 30) == "1.60000000000000E+30"
 
 
 def test_record_schema_field_names():
@@ -193,7 +191,7 @@ def test_sweep_replaces_a_dead_worker_once(tmp_path, monkeypatch, serial_records
 def test_sweep_parent_failure_leaves_no_worker(tmp_path, monkeypatch):
     # The checkpoint's second write fails while workers still run; the
     # error reaches the caller and every worker is stopped and reaped.
-    import sqsearch.campaign as campaign
+    import sqsearch.checkpoint as checkpoint
 
     class FailingFile:
         def __init__(self, fh):
@@ -208,7 +206,7 @@ def test_sweep_parent_failure_leaves_no_worker(tmp_path, monkeypatch):
         def __getattr__(self, name):
             return getattr(self.fh, name)
 
-    monkeypatch.setattr(campaign, "open", lambda *a, **kw: FailingFile(open(*a, **kw)),
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **kw: FailingFile(open(*a, **kw)),
                         raising=False)
     spec = SweepSpec(**WORKER_RANGE, workers=2, checkpoint_path=tmp_path / "fail.jsonl")
     with pytest.raises(OSError, match="planted"):
@@ -323,6 +321,7 @@ def test_checkpoint_corrupt_middle_line_refuses(tmp_path):
 
 
 DONE_23 = {"v": 1, "p": 2, "q": 3, "status": "done"}
+ERROR_23 = {"v": 1, "p": 2, "q": 3, "status": "error", "error": "x", "ms": 0}
 
 
 @pytest.mark.parametrize("record", [
@@ -333,13 +332,16 @@ DONE_23 = {"v": 1, "p": 2, "q": 3, "status": "done"}
     {**DONE_23, "triples": [[1, 3]]}, {**DONE_23, "triples": [[1, 3, 5.0]]},
     {**DONE_23, "triples": "abc"}, {**DONE_23, "flags": "x"}, {**DONE_23, "flags": [1]},
     {**DONE_23, "ms": "7"}, {**DONE_23, "ms": True}, {**DONE_23, "ms": 7.5},
+    {**ERROR_23, "quadruples": [[1, 3, 8, 120]]}, {**ERROR_23, "flags": ["x"]},
 ])
 def test_checkpoint_record_without_known_status_refuses(tmp_path, capsys, record):
     # Accepted, a record without "done" or "error" would count {2, 3} as
     # resumed, so a sweep would exit 0 without ever searching it; a p that
     # is no int made report or sweep fail on a TypeError naming no line, and
     # so did a quadruples or ms of the wrong type, while a string of
-    # quadruples made report and sweep print a notable pair and exit 2.
+    # quadruples made report and sweep print a notable pair and exit 2.  An
+    # error record with a quadruple made sweep print it as notable and exit 2,
+    # while report dropped it and exited 1.
     ck = tmp_path / "nostatus.jsonl"
     good = json.dumps({"v": 1, "p": 2, "q": 5, "status": "done", "triples": []})
     ck.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
@@ -351,6 +353,24 @@ def test_checkpoint_record_without_known_status_refuses(tmp_path, capsys, record
         assert "corrupt checkpoint line 2" in captured.err
         assert "pairs total" not in captured.out and '"pairs"' not in captured.out
         assert ck.read_bytes() == raw
+
+
+def test_iter_records_streams_one_line_at_a_time(tmp_path):
+    # A resume at the paper's scale reads millions of records: the reader's
+    # peak must not grow with the file.
+    ck = tmp_path / "big.jsonl"
+    rec = record_from_report(search_pair(PrimePair.of(2, 97)))
+    with open(ck, "w", encoding="utf-8") as fh:
+        for q in range(20000):
+            fh.write(json.dumps({**rec, "q": q}, sort_keys=True) + "\n")
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_records(ck))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 20000
+    assert peak < ck.stat().st_size / 100
 
 
 def test_sweep_force_restart(tmp_path):
@@ -484,7 +504,7 @@ def test_cli_sweep_and_report(tmp_path, capsys):
 
 def test_cli_exit_1_on_error_record(tmp_path, capsys):
     ck = tmp_path / "planted.jsonl"
-    ck.write_text(json.dumps(_error_record(2, 5, "PrecisionError: planted", 0)) + "\n",
+    ck.write_text(json.dumps(error_record(2, 5, "PrecisionError: planted", 0)) + "\n",
                   encoding="utf-8")
     assert main(["sweep", "--p", "2", "--q-min", "3", "--q-max", "7",
                  "--checkpoint", str(ck)]) == 1
@@ -499,7 +519,7 @@ def test_cli_exit_1_on_error_record(tmp_path, capsys):
 
 def test_sweep_summary_counts_only_own_pairs(tmp_path, capsys):
     ck = tmp_path / "foreign.jsonl"
-    ck.write_text(json.dumps(_error_record(2, 97, "PrecisionError: planted", 0)) + "\n",
+    ck.write_text(json.dumps(error_record(2, 97, "PrecisionError: planted", 0)) + "\n",
                   encoding="utf-8")
     summary = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=7,
                               workers=1, checkpoint_path=ck))
@@ -590,7 +610,7 @@ def test_sweep_worker_error_isolates(monkeypatch, tmp_path):
 
     real_run = campaign._run_pair
     monkeypatch.setattr(campaign, "_run_pair",
-                        lambda task: campaign._error_record(task[0], task[1], "boom", 0)
+                        lambda task: error_record(task[0], task[1], "boom", 0)
                         if task[1] == 5 else real_run(task))
     ck = tmp_path / "err.jsonl"
     spec = SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=11,

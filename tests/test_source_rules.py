@@ -88,3 +88,17 @@ def test_multiprocessing_is_not_imported_at_module_level():
             found += [f"{path.name}:{node.lineno} {m}" for m in modules
                       if m.split(".")[0] == "multiprocessing"]
     assert found == []
+
+
+def test_only_the_checkpoint_module_parses_json():
+    # The record format has one reader, so a sweep's resume and a report
+    # cannot read a record differently.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "loads"
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and any(a.name == "loads" for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found and all(f.startswith("checkpoint.py:") for f in found), found
