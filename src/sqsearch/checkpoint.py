@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_TAIL_BLOCK = 1 << 16  # bytes read per step when Appender looks for the last newline
 
 
 class CheckpointError(Exception):
@@ -120,9 +122,20 @@ class Appender:
     def __init__(self, path: Path, restart: bool = False):
         path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(path, "a+b")
-        self._fh.seek(0)
-        self._fh.truncate(0 if restart else sum(
-            len(line) for line in iter(self._fh.readline, b"") if line.endswith(b"\n")))
+        self._fh.truncate(0 if restart else self._last_line_end())
+
+    def _last_line_end(self) -> int:
+        # The offset just past the last newline, or 0: blocks read backward
+        # from the end, so the cost is the torn tail's, not the file's.
+        end = self._fh.seek(0, os.SEEK_END)
+        while end > 0:
+            start = max(0, end - _TAIL_BLOCK)
+            self._fh.seek(start)
+            cut = self._fh.read(end - start).rfind(b"\n")
+            if cut >= 0:
+                return start + cut + 1
+            end = start
+        return 0
 
     def append(self, rec: dict) -> None:
         self._fh.write((json.dumps(rec, sort_keys=True) + "\n").encode())

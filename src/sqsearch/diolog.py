@@ -215,16 +215,28 @@ class _Ambiguous(Exception):
 
 
 def _expand(lp: tuple[int, int], lq: tuple[int, int],
-            Q_cut: int, P_cut: int) -> list[Convergent]:
+            Q_cut: int, P_cut: int) -> tuple[list[Convergent], int]:
     # All convergents of the enclosure lq / lp of log q / log p (both at one
     # scale) with Q < Q_cut and P < P_cut, plus the first one violating
-    # either cutoff as a boundary guard; raises _Ambiguous when the
-    # enclosure does not pin down a partial quotient.
+    # either cutoff as a boundary guard; and the least low end of
+    # |P log p - Q log q| over them, the guard left out unless it is the only
+    # one.  Raises _Ambiguous when the enclosure does not pin down a partial
+    # quotient or the sign of a linear form that enters the minimum.
     # Each end of the enclosure is kept as an exact ratio n / d of integers.
+    #
+    # The ends run Euclid's algorithm on the pairs (lq.lo, lp.hi) and
+    # (lq.hi, lp.lo), one step each per partial quotient a_k, and the two
+    # swap places each step.  Remainders follow r_k = r_{k-2} - a_k r_{k-1},
+    # so r_k = (-1)^k (Q_k n - P_k d) for the pair (n, d): at step k, r_lo is
+    # the end of P log p - Q log q nearest 0, taken on the pair that step k
+    # divides, and since both ends share a_k, the other end lies on the same
+    # side.  So r_lo is the low end of |P log p - Q log q|, bit for bit
+    # P*lp.lo - Q*lq.hi or Q*lq.lo - P*lp.hi, and r_lo = 0 leaves the sign open.
     (n_lo, n_hi), (d_hi, d_lo) = lq, lp
     out: list[Convergent] = []
     P0, P1 = 1, 0   # P_{k-1}, P_{k-2}
     Q0, Q1 = 0, 1
+    least = None
     for _ in range(10000):
         a, r_lo = divmod(n_lo, d_lo)
         if n_hi // d_hi != a:
@@ -232,12 +244,16 @@ def _expand(lp: tuple[int, int], lq: tuple[int, int],
         P = a * P0 + P1
         Q = a * Q0 + Q1
         out.append(Convergent(P=P, Q=Q))
-        if not (Q < Q_cut and P < P_cut):
-            return out
+        inside = Q < Q_cut and P < P_cut
+        if inside or least is None:
+            if r_lo == 0:
+                raise _Ambiguous
+            if least is None or r_lo < least:
+                least = r_lo
+        if not inside:
+            return out, least
         P1, P0 = P0, P
         Q1, Q0 = Q0, Q
-        if r_lo == 0:
-            raise _Ambiguous
         # The next ends are 1 / (n_hi / d_hi - a) and 1 / (n_lo / d_lo - a).
         n_lo, d_lo, n_hi, d_hi = d_hi, n_hi - a * d_hi, d_lo, r_lo
     raise _Ambiguous
@@ -253,17 +269,6 @@ class GapCertificate:
     delta: Fraction
     convergents_checked: tuple[Convergent, ...]
     precision_bits: int
-
-
-def _abs_linear_form(c: Convergent, lp: tuple[int, int], lq: tuple[int, int]) -> int:
-    # Low end of |P log p - Q log q| as a positive mantissa at the shared scale.
-    lo = c.P * lp[0] - c.Q * lq[1]
-    hi = c.P * lp[1] - c.Q * lq[0]
-    if lo > 0:
-        return lo
-    if hi < 0:
-        return -hi
-    raise _Ambiguous
 
 
 def _must_fail(lp: tuple[int, int], lq: tuple[int, int], Q_cut: int, P_cut: int) -> bool:
@@ -293,8 +298,8 @@ def linear_form_gap(pair, B) -> GapCertificate:
     lies inside the cutoffs the hypothesis is vacuous and the guard alone
     supplies a valid positive delta.
     """
-    B = Fraction(B)
-    if B < 1:
+    B = B if type(B) is Fraction else Fraction(B)
+    if B.numerator < B.denominator:
         raise ValueError("B must be at least 1")
     p, q = min(pair.p, pair.q), max(pair.p, pair.q)
     bits = START_BITS
@@ -309,9 +314,7 @@ def linear_form_gap(pair, B) -> GapCertificate:
             # A rung that must fail skips its expansion; the same rungs fail.
             if _must_fail(lp, lq, Q_cut, P_cut):
                 raise _Ambiguous
-            convs = _expand(lp, lq, Q_cut, P_cut)
-            pool = convs[:-1] if len(convs) > 1 else convs
-            min_low = min(_abs_linear_form(c, lp, lq) for c in pool)
+            convs, min_low = _expand(lp, lq, Q_cut, P_cut)
         except _Ambiguous:
             # Not kept for chaining: its traceback would hold this frame, a
             # reference cycle that only the cyclic collector frees, so each
@@ -319,6 +322,7 @@ def linear_form_gap(pair, B) -> GapCertificate:
             bits *= 2
             continue
         delta = Fraction(999 * min_low, 1000 << w)
+        pool = convs[:-1] if len(convs) > 1 else convs
         return GapCertificate(delta=delta, convergents_checked=tuple(pool),
                               precision_bits=bits)
     raise PrecisionError(

@@ -7,6 +7,7 @@ formula is evaluated with outward rounding toward larger bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +41,10 @@ STOP_RATIO = Fraction(1, 10)
 
 _BISECTION_REL = 1000  # initial-bound bisection to relative width 1/1000
 _CAP = 1 << 4096  # initial bound: no crossing at or below it means out of range
+# Relative margin 2^-60 of a check that stands in for exact work: it must
+# exceed the rounding of what it compares, at most 2^-(bits-4) on a rung of
+# bits > 2 * 60 (see initial_bound and _b1_b2).
+_MARGIN_BITS = 60
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,11 @@ class ExponentBox:
 @lru_cache(maxsize=256)
 def _pair_constants(p: int, q: int, bits: int) -> tuple:
     # The rung's scale w, and (lo, hi) mantissas at 2^-w of log p, log q,
-    # ln(log p * log q), the majorant's leading factor c = 1.36e23 * (log p *
-    # log q)^3 and its three offsets 1.63, 2.71 and 2.08 - ln(log p * log q);
-    # last, the least e >= 0 with e * lo(ln 2) + o3.lo >= 0, lo(ln 2) being
-    # the low end that _split gives log_of_fraction.
+    # ln(log p * log q) and log p * log q; the least m with m * lo(ln 2) +
+    # min(o1.lo, o3.lo) > 4; the majorant's leading factor c = 1.36e23 *
+    # (log p * log q)^3 and its three offsets 1.63, 2.71 and 2.08 - ln(log p *
+    # log q); last, the least e >= 0 with e * lo(ln 2) + o3.lo >= 0, lo(ln 2)
+    # being the low end that _split gives log_of_fraction.
     w, lp, lq = scale(bits), certified_log(p, bits), certified_log(q, bits)
     lpq = product(lp, lq, w)
     # 1.36e23 is the integer k, so k * lpq is exact on the mantissas.
@@ -96,7 +102,9 @@ def _pair_constants(p: int, q: int, bits: int) -> tuple:
               log_of_fraction(lpq[1], 1 << w, bits)[1])
     o1, o2, o3 = (((n << w) // 100, -(-(n << w) // 100)) for n in (163, 271, 208))
     o3 = (o3[0] - ln_lpq[1], o3[1] - ln_lpq[0])
-    return w, lp, lq, ln_lpq, c, o1, o2, o3, max(0, -(o3[0] // certified_log(2, bits)[0]))
+    ln2 = certified_log(2, bits)[0]
+    m_falls = ((4 << w) - min(o1[0], o3[0])) // ln2 + 1
+    return w, lp, lq, ln_lpq, lpq, m_falls, c, o1, o2, o3, max(0, -(o3[0] // ln2))
 
 
 def _f_upper(x: int, pair: PrimePair, bits: int) -> int:
@@ -118,38 +126,74 @@ def _f_upper(x: int, pair: PrimePair, bits: int) -> int:
     return product(product(product(c, t1, w), t2, w), product(t3, t3, w), w)[1]
 
 
-def initial_bound(pair: PrimePair) -> Fraction:
-    """Certified B0 with log d < B0 for every solution, where F(B0) < B0.
-
-    Four steps x <- ceil(F(x)) from the cap 2^4096 pick hi on the grid
-    16 * 2^k; hi steps down while F(hi/2) < hi/2 and up while F(hi) >= hi,
-    and integer bisection tightens [hi/2, hi] to relative width 1/1000.  F
-    is the majorant at START_BITS, evaluated at B0 itself.  B0 equals an
-    upward scan's from 16 whenever the grid has one crossing x*, as that
-    scan assumed: above x*, t3 = ln x + 2.08 - ln(log p log q) > 0, so F
-    increases up to the cap and the iterates fall monotonically to x*.
-    Near 16, where t3 < 0 for large p and q, F need not increase, and the
-    stepping loops settle the bracket.
-    """
-    w = scale(START_BITS)  # F(x) < x reads f < x << w on F's high end f
+def _bracket(majorant) -> tuple[int, int]:
+    # The search on F(x) < x with F = majorant: four steps x <- ceil(F(x))
+    # from the cap 2^4096 pick hi on the grid 16 * 2^k; hi steps down while
+    # F(hi/2) < hi/2 and up while F(hi) >= hi, and integer bisection tightens
+    # [hi/2, hi] to relative width 1/1000.  Returns the final (lo, hi).
     x = _CAP
     for _ in range(4):
-        x = -(-_f_upper(x, pair, START_BITS) >> w)
+        x = math.ceil(majorant(x))
     hi = min(_CAP, 16 << ((x - 1) // 16).bit_length())
-    while hi > 16 and _f_upper(hi // 2, pair, START_BITS) < hi // 2 << w:
+    while hi > 16 and majorant(hi // 2) < hi // 2:
         hi //= 2
-    while not _f_upper(hi, pair, START_BITS) < hi << w:
+    while not majorant(hi) < hi:
         hi *= 2
         if hi > _CAP:
             raise ArithmeticError("no crossing found; inputs out of range")
     lo = hi // 2 if hi > 16 else 4
     while hi - lo > max(1, hi // _BISECTION_REL):
         mid = (lo + hi) // 2
-        if _f_upper(mid, pair, START_BITS) < mid << w:
+        if majorant(mid) < mid:
             hi = mid
         else:
             lo = mid
-    return Fraction(hi)
+    return lo, hi
+
+
+def initial_bound(pair: PrimePair) -> Fraction:
+    """Certified B0 with log d < B0 for every solution, where F(B0) < B0.
+
+    B0 is the hi of _bracket on F, the majorant at START_BITS, evaluated at
+    B0 itself.  B0 equals an upward scan's from 16 whenever the grid has one
+    crossing x*, as that scan assumed: above x*, t3 = ln x + 2.08 - ln(log p
+    log q) > 0, so F increases up to the cap and the iterates fall
+    monotonically to x*.  Near 16, where t3 < 0 for large p and q, F need
+    not increase, and the stepping loops settle the bracket.
+
+    _bracket runs first on a float model of F, and F itself is evaluated
+    only at the final lo and hi; the comment below says why that gives the
+    B0 of _bracket on F, which is the fallback when a check fails.
+    """
+    w, *_, m_falls, c, o1, o2, o3, _ = _pair_constants(pair.p, pair.q, START_BITS)
+    cf, f1, f2, f3 = (v[1] / (1 << w) for v in (c, o1, o2, o3))
+
+    def floats(x: int) -> float:
+        lx = math.log(x)
+        return cf * (lx + f1) * (lx + f2) * (lx + f3) ** 2
+
+    lo, hi = _bracket(floats)
+    # Let G be F's formula on the high ends of c and the o_i, exact in ln x.
+    # Where ln x + o_i > 4 for every i, d ln G / d ln x = sum k_i / (ln x +
+    # o_i) < 1 with k = (1, 1, 2), so G(x) / x falls and G rises.  There
+    # G <= F <= G * (1 + r): log_upper exceeds ln x by at most 2^-bits, on
+    # factors above 4, and each of four ceilings adds one unit of 2^-w, so
+    # r < 2^-(bits-4), far below the margin u = 2^-60.  Let g be the grid
+    # point of the bracket, g/2 = 2^m with m >= m_falls above that threshold:
+    # - F(hi) (1 + u) < hi gives F(x) < x for every x >= hi;
+    # - F(lo) >= lo (1 + u) gives F(x) >= x for g/2 <= x <= lo, and puts G's
+    #   crossing x* above lo.
+    # So _bracket on F takes the same steps: its iterates stay above x*, as
+    # G rises, so it starts at a grid point >= g; it steps down to g, as
+    # F(g/2) >= g/2; and each bisection midpoint that the floats put below
+    # the crossing is at most lo, each one above it at least hi.
+    g = 16 << ((hi - 1) // 16).bit_length()
+    u = (1 << _MARGIN_BITS) + 1
+    if (g.bit_length() - 2 >= m_falls
+            and _f_upper(hi, pair, START_BITS) * u < hi << w + _MARGIN_BITS
+            and _f_upper(lo, pair, START_BITS) << _MARGIN_BITS >= (lo << w) * u):
+        return Fraction(hi)
+    return Fraction(_bracket(lambda x: Fraction(_f_upper(x, pair, START_BITS), 1 << w))[1])
 
 
 def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction, Fraction]:
@@ -157,11 +201,21 @@ def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction
     # u_p log p + ln(2 B1^2 / (log p log q)), each log at its high end and
     # ln(y / (log p log q)) <= (ln y).hi - ln_lpq.lo; mantissas at 2^-w.
     bits = cert.precision_bits
-    w, lp, lq, ln_lpq, *_ = _pair_constants(pair.p, pair.q, bits)
-    delta = cert.delta
-    b1_gap = log_upper(2 * delta.denominator, delta.numerator, bits)
-    b1_size = log_upper(8 * B.numerator, B.denominator, bits) - ln_lpq[0]
-    b1 = max(b1_gap, b1_size)
+    w, lp, lq, ln_lpq, lpq, *_ = _pair_constants(pair.p, pair.q, bits)
+    dn, dd = cert.delta.numerator, cert.delta.denominator
+    # Each log reads at most 2^-bits above the truth, so b1_gap lies in
+    # [ln(2/delta), +2^-bits] and b1_size in [ln(8B / lpq.hi), ln(8B /
+    # lpq.lo) + 2^-(bits-1)].  Where one argument exceeds the other by the
+    # factor 1 + 2^-60 with lpq at its end against it, its log is the max:
+    # 2 dd / dn against 8B 2^w / lpq is gap * lpq against size, integers.
+    gap, size, u = 2 * dd * B.denominator, 8 * B.numerator * dn << w, (1 << _MARGIN_BITS) + 1
+    if bits > 2 * _MARGIN_BITS and gap * lpq[0] << _MARGIN_BITS > size * u:
+        b1 = log_upper(2 * dd, dn, bits)
+    elif bits > 2 * _MARGIN_BITS and size << _MARGIN_BITS > gap * lpq[1] * u:
+        b1 = log_upper(8 * B.numerator, B.denominator, bits) - ln_lpq[0]
+    else:
+        b1 = max(log_upper(2 * dd, dn, bits),
+                 log_upper(8 * B.numerator, B.denominator, bits) - ln_lpq[0])
     tail = log_upper(2 * b1 * b1, 1 << 2 * w, bits) - ln_lpq[0]
     b2 = 2 * b1 + pair.u_q * lq[1] + pair.u_p * lp[1] + tail
     return Fraction(b1, 1 << w), Fraction(b2, 1 << w)
@@ -169,8 +223,8 @@ def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction
 
 def reduce_once(pair: PrimePair, B) -> ReductionStep:
     """One reduction-lemma application at the current bound B >= log d."""
-    B = Fraction(B)
-    if B < 1:
+    B = B if type(B) is Fraction else Fraction(B)
+    if B.numerator < B.denominator:
         raise ValueError("B must be at least 1")
     cert = linear_form_gap(pair, B)
     B1, B2 = _b1_b2(pair, B, cert)
@@ -180,25 +234,33 @@ def reduce_once(pair: PrimePair, B) -> ReductionStep:
 
 def reduce_full(pair: PrimePair) -> ReductionTrace:
     """Iterate reduce_once from the initial bound until the relative
-    improvement drops below STOP_RATIO or a step fails to improve."""
+    improvement drops below STOP_RATIO or a step fails to improve.  A step
+    whose B2 is below 1, where no further step can start, counts as one that
+    did not improve."""
     B0 = initial_bound(pair)
     steps: list[ReductionStep] = []
     B = B0
+    num, den = STOP_RATIO.numerator, STOP_RATIO.denominator
     for _ in range(64):
         step = reduce_once(pair, B)
         steps.append(step)
-        if step.improvement <= 0 or step.improvement < STOP_RATIO * B:
+        B2 = step.B2
+        # B - B2 < (num/den) B, as (den - num) B < den B2 on numerators and
+        # denominators; it holds whenever B2 >= B.
+        if (B2.numerator < B2.denominator or (den - num) * B.numerator * B2.denominator
+                < den * B2.numerator * B.denominator):
             break
-        B = step.B2
-    # The final bound is the least of B0 and every B2.  Each B2 but the last
-    # is the next step's B_in, and each step but the last improved, so the
-    # B_in strictly fall: that least is the last step's B_in when it did not
-    # improve, and its B2 when it did.  linear_form_gap and _b1_b2 are
-    # deterministic in (pair, B), so a last step that did not improve already
-    # holds the final B1 and its rung; otherwise one more step at its B2
-    # certifies them, and is not part of the chain.
+        B = B2
+    # The final bound is the least of B0 and every B2 that is at least 1.
+    # Each B2 but the last is the next step's B_in, and each step but the
+    # last improved, so the B_in strictly fall: that least is the last step's
+    # B_in when it did not improve, and its B2 when it did.  linear_form_gap
+    # and _b1_b2 are deterministic in (pair, B), so a last step that did not
+    # improve already holds the final B1 and its rung; otherwise one more
+    # step at its B2 certifies them, and is not part of the chain.
     last = steps[-1]
-    final = last if last.improvement <= 0 else reduce_once(pair, last.B2)
+    stuck = last.B2 < 1 or last.improvement <= 0
+    final = last if stuck else reduce_once(pair, last.B2)
     return ReductionTrace(pair=pair, B0=B0, steps=tuple(steps),
                           final_bound=final.B_in, final_B1=final.B1,
                           precision_bits=final.precision_bits)

@@ -1,3 +1,4 @@
+import io
 import json
 import multiprocessing
 import os
@@ -288,6 +289,52 @@ def test_checkpoint_truncated_trailing_line(tmp_path, capsys):
         assert ck.read_bytes() == good  # bad tail physically removed
 
 
+def _complete_lines(raw: bytes) -> bytes:
+    # The forward rule that the backward read replaced: every line that
+    # ends in a newline, read from the start of the file.
+    return b"".join(line for line in io.BytesIO(raw) if line.endswith(b"\n"))
+
+
+_LINE = (json.dumps({"v": 1, "p": 2, "q": 3, "status": "done"}) + "\n").encode()
+
+
+@pytest.mark.parametrize("block", [7, None], ids=["block-7", "block-default"])
+@pytest.mark.parametrize("raw", [
+    b"",
+    b'{"p": 2, "q": 5, "st',
+    _LINE,
+    _LINE * 3,
+    b"\n",
+    _LINE + b'{"p": 2, "q": 5, "st\xc3',
+    _LINE + b"x" * ((1 << 16) + 5),
+    b"x" * ((1 << 16) + 5),
+    _LINE * 2 + b"\n" + b"y" * 20,
+], ids=["empty", "no-newline", "one-line", "three-lines", "bare-newline",
+        "torn-utf8", "tail-past-block", "long-no-newline", "blank-line-then-tail"])
+@pytest.mark.parametrize("restart", [False, True], ids=["resume", "restart"])
+def test_appender_cuts_the_torn_tail_as_the_forward_rule(tmp_path, monkeypatch, raw, block,
+                                                          restart):
+    import sqsearch.checkpoint as checkpoint
+    if block is not None:
+        monkeypatch.setattr(checkpoint, "_TAIL_BLOCK", block)
+    ck = tmp_path / "c.jsonl"
+    ck.write_bytes(raw)
+    handle = checkpoint.Appender(ck, restart=restart)
+    kept = b"" if restart else _complete_lines(raw)
+    assert ck.read_bytes() == kept
+    handle.append({"v": 1, "p": 2, "q": 7, "status": "error", "error": "x", "ms": 0})
+    handle.close()
+    assert ck.read_bytes().startswith(kept)
+    assert ck.read_bytes().count(b"\n") == kept.count(b"\n") + 1
+
+
+def test_appender_creates_a_missing_file(tmp_path):
+    from sqsearch.checkpoint import Appender
+    ck = tmp_path / "sub" / "new.jsonl"
+    Appender(ck).close()
+    assert ck.read_bytes() == b""
+
+
 def test_report_leaves_checkpoint_byte_identical(tmp_path, capsys):
     ck = tmp_path / "live.jsonl"
     good = json.dumps({"v": 1, "p": 2, "q": 3, "status": "done", "triples": []})
@@ -538,6 +585,22 @@ def test_cli_pair_json_report(tmp_path):
     assert all("delta_exact" in s for s in rec["steps"])
     num, den = rec["steps"][-1]["delta_exact"].split("/")
     assert int(num) > 0 and int(den) > 0
+
+
+@pytest.mark.parametrize("pq", [(10949, 95089), (12527, 92753), (4951, 50849)],
+                         ids=lambda pq: f"{pq[0]}-{pq[1]}")
+def test_pairs_whose_chain_reaches_a_bound_below_1(tmp_path, pq):
+    # Their reduction chains reach a B2 below 1; each pair is done with no
+    # quadruple, and a sweep over it exits 0.
+    p, q = map(str, pq)
+    out = tmp_path / "pair.json"
+    assert main(["pair", "--p", p, "--q", q, "--json", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["status"] == "done" and rec["quadruples"] == []
+    ck = tmp_path / "sweep.jsonl"
+    assert main(["sweep", "--p", p, "--q-min", q, "--q-max", q,
+                 "--checkpoint", str(ck)]) == 0
+    assert [r["status"] for r in load_checkpoint(ck).values()] == ["done"]
 
 
 def test_cli_verify_lemmas(capsys):

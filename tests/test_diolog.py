@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ def cf_convergents(p, q, Q_cut, P_cut, bits=256):
     # fixed precision: convergents of log q / log p with Q < Q_cut and
     # P < P_cut, plus the first one past either cutoff.
     return diolog._expand(certified_log(p, bits), certified_log(q, bits),
-                          Fraction(Q_cut), Fraction(P_cut))
+                          Fraction(Q_cut), Fraction(P_cut))[0]
 
 
 def ends(enclosure, bits):
@@ -264,6 +265,77 @@ def test_linear_form_gap_skips_only_rungs_that_must_fail(monkeypatch):
     for args in skipped:
         with pytest.raises(diolog._Ambiguous):
             diolog._expand(*args)
+
+
+def _expand_before(lp, lq, Q_cut, P_cut):
+    # The expansion as it was before it carried the linear forms: the same
+    # convergents and guard, then the minimum of each pool member's form by
+    # four products, with the guard left out unless it stands alone.
+    (n_lo, n_hi), (d_hi, d_lo) = lq, lp
+    out = []
+    P0, P1, Q0, Q1 = 1, 0, 0, 1
+    while True:
+        a, r_lo = divmod(n_lo, d_lo)
+        if n_hi // d_hi != a:
+            return "quotient"
+        P, Q = a * P0 + P1, a * Q0 + Q1
+        out.append(Convergent(P=P, Q=Q))
+        if not (Q < Q_cut and P < P_cut):
+            break
+        P1, P0, Q1, Q0 = P0, P, Q0, Q
+        if r_lo == 0:
+            return "quotient"
+        n_lo, d_lo, n_hi, d_hi = d_hi, n_hi - a * d_hi, d_lo, r_lo
+    lows = []
+    for c in out[:-1] if len(out) > 1 else out:
+        lo, hi = c.P * lp[0] - c.Q * lq[1], c.P * lp[1] - c.Q * lq[0]
+        if lo <= 0 <= hi:
+            return "sign"
+        lows.append(lo if lo > 0 else -hi)
+    return out, min(lows)
+
+
+def _expand_outcome(lp, lq, Q_cut, P_cut):
+    try:
+        return diolog._expand(lp, lq, Q_cut, P_cut)
+    except diolog._Ambiguous:
+        return None
+
+
+def test_expand_carries_the_linear_forms_of_the_products():
+    # 2400 seeded (pair, B, rung) draws with linear_form_gap's cutoffs, half
+    # of them near the edge of ambiguity: the fused expansion returns the
+    # same convergents and minimum, and raises exactly where the products
+    # left a quotient or a sign undecided.
+    rng = random.Random(20261020)
+    outcomes = Counter()
+    for pair, B in _skip_draws(2400, 20261020):
+        bits = rng.choice((64, 128, 256, 512))
+        w = diolog.scale(bits)
+        lp, lq = certified_log(pair.p, bits), certified_log(pair.q, bits)
+        Q_cut = -(-(2 * B.numerator << w) // (B.denominator * lq[0]))
+        P_cut = -(-(2 * B.numerator << w) // (B.denominator * lp[0]))
+        expected = _expand_before(lp, lq, Q_cut, P_cut)
+        got = _expand_outcome(lp, lq, Q_cut, P_cut)
+        assert got == (None if isinstance(expected, str) else expected), (pair, B, bits)
+        outcomes[expected if isinstance(expected, str) else len(expected[0]) > 1] += 1
+    assert min(outcomes[k] for k in ("quotient", True, False)) >= 20, outcomes
+
+
+@pytest.mark.parametrize("lp,lq,Q_cut,P_cut,expected", [
+    # A lone guard whose form's interval ends at 0: the sign alone is open.
+    ((100, 101), (303, 310), 1, 10, "sign"),
+    ((100, 101), (303, 310), 2, 10, "quotient"),
+    ((100, 101), (304, 310), 1, 10, "ok"),
+    ((100, 101), (304, 310), 2, 10, "quotient"),
+    ((1000, 1001), (3010, 3011), 1, 10, "ok"),
+])
+def test_expand_sign_of_a_lone_guard(lp, lq, Q_cut, P_cut, expected):
+    # On real enclosures a form whose sign is open has a zero remainder,
+    # which stops the expansion anyway; only a lone guard skips that test.
+    before = _expand_before(lp, lq, Q_cut, P_cut)
+    assert (before if isinstance(before, str) else "ok") == expected
+    assert _expand_outcome(lp, lq, Q_cut, P_cut) == (None if expected != "ok" else before)
 
 
 def test_cf_convergents_explicit_bits_consistent():

@@ -330,7 +330,8 @@ def test_initial_bound_stepping_loops_match_doubling_scan(monkeypatch, majorant)
                                 (99989, 99991), (2, 999999937)],
                          ids=lambda pq: f"{pq[0]}-{pq[1]}")
 def test_initial_bound_majorant_evaluations(monkeypatch, pq):
-    # The doubling scan took about 126 evaluations per pair.
+    # The doubling scan took about 126 evaluations per pair, the fixed-point
+    # start 16; the float bracket leaves one at each of its ends.
     calls = []
     f = reduce_module._f_upper
 
@@ -340,7 +341,45 @@ def test_initial_bound_majorant_evaluations(monkeypatch, pq):
 
     monkeypatch.setattr(reduce_module, "_f_upper", counting)
     initial_bound(PrimePair.of(*pq))
-    assert len(calls) <= 20
+    assert len(calls) <= 2
+
+
+def _b0_population():
+    # Every {2, q} with q < 10^4, 1500 seeded pairs below 10^5 and the 300
+    # {2, q} with the least primes q above 10^9.
+    from random import Random
+
+    from sqsearch.campaign import primes_in_range
+    below = primes_in_range(3, 10 ** 5)
+    rng = Random(23)
+    big = []
+    q = 10 ** 9
+    while len(big) < 300:
+        q += 1
+        if is_prime(q):
+            big.append((2, q))
+    return ([(2, q) for q in below if q < 10 ** 4]
+            + [tuple(sorted(rng.sample(below, 2))) for _ in range(1500)] + big)
+
+
+def test_initial_bound_fast_path_equals_fallback(monkeypatch):
+    # The float bracket and its two certified checks give the B0 that the
+    # bracket on the certified majorant gives, and no pair falls back.
+    f = reduce_module._f_upper
+    bits = reduce_module.START_BITS
+    w = diolog.scale(bits)
+    calls = []
+    monkeypatch.setattr(reduce_module, "_f_upper",
+                        lambda x, pair, bits: calls.append(x) or f(x, pair, bits))
+    pairs = _b0_population()
+    assert len(pairs) >= 3000
+    for pq in pairs:
+        pair = PrimePair.of(*pq)
+        calls.clear()
+        B0 = initial_bound(pair)
+        assert len(calls) == 2, pq
+        certified = reduce_module._bracket(lambda x: Fraction(f(x, pair, bits), 1 << w))
+        assert B0 == certified[1], pq
 
 
 def test_initial_bound_out_of_range_raises(monkeypatch):
@@ -406,6 +445,54 @@ def test_integer_chain_equals_enclosure_formulas(a, b, x, B):
     w = diolog.scale(reduce_module.START_BITS)
     assert Fraction(reduce_module._f_upper(x, pair, reduce_module.START_BITS), 1 << w) == F
     assert reduce_module._b1_b2(pair, B, cert) == (B1, B2)
+
+
+@pytest.mark.parametrize("bits", [16, 128, 256])
+def test_b1_is_the_larger_log_on_both_sides_of_the_margin(monkeypatch, bits):
+    # Synthetic gaps put 2/delta at, and 2^-e relatively either side of,
+    # 8B / lpq with lpq at either end or the middle of its enclosure.  B1 and
+    # B2 equal the formulas with both logs taken; one B1 log is skipped when
+    # the order is decided (e <= 59), never inside the 2^-60 band (e >= 61)
+    # or on a rung of 120 bits or fewer.
+    from random import Random
+
+    from sqsearch.diolog import GapCertificate
+    rng = Random(bits)
+    logs = []
+    log_upper = reduce_module.log_upper
+    monkeypatch.setattr(reduce_module, "log_upper", lambda *a: logs.append(a) or log_upper(*a))
+    for pq in [(2, 3), (3, 5), (2, 999999937), (99989, 99991)]:
+        pair = PrimePair.of(*pq)
+        w, lp, lq, ln_lpq, lpq, *_ = reduce_module._pair_constants(*pq, bits)
+        for B in (Fraction(3), Fraction(10 ** 30 + 7, 3),
+                  Fraction(rng.randrange(1, 1 << 80), rng.randrange(1, 1 << 20))):
+            for L in (lpq[0], lpq[1], (lpq[0] + lpq[1]) // 2):
+                pivot = Fraction(2 * L, 8 * B * (1 << w))  # 2 / pivot = 8B / (L 2^-w)
+                for e in (None, 8, 50, 59, 60, 61, 70, 200):
+                    for sign in (1, -1):
+                        delta = pivot * (1 + sign * Fraction(1, 1 << e)) if e else pivot
+                        cert = GapCertificate(delta=delta, convergents_checked=(),
+                                              precision_bits=bits)
+                        logs.clear()
+                        got = reduce_module._b1_b2(pair, B, cert)
+                        assert got == enclosure_formulas(pair, 16, B, cert)[1:]
+                        if bits > 120 and e is not None and e <= 59:
+                            assert len(logs) == 2
+                        elif bits <= 120 or e is None or e >= 61:
+                            assert len(logs) == 3
+
+
+@pytest.mark.parametrize("pq", [(10949, 95089), (12527, 92753), (4951, 50849)],
+                         ids=lambda pq: f"{pq[0]}-{pq[1]}")
+def test_reduce_full_ends_before_a_bound_below_1(pq):
+    # Each chain reaches a step whose B2 is below 1, where no step can start:
+    # that step did not improve, so it ends the chain with its own B_in and B1.
+    trace = reduce_full(PrimePair.of(*pq))
+    last = trace.steps[-1]
+    assert last.B2 < 1 <= last.B_in
+    assert all(s.B2 >= 1 for s in trace.steps[:-1])
+    assert (trace.final_bound, trace.final_B1) == (last.B_in, last.B1)
+    assert trace.precision_bits == last.precision_bits
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (99989, 99991)], ids=lambda pq: f"{pq[0]}-{pq[1]}")
