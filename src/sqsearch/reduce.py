@@ -43,8 +43,9 @@ _BISECTION_REL = 1000  # initial-bound bisection to relative width 1/1000
 _CAP = 1 << 4096  # initial bound: no crossing at or below it means out of range
 # Relative margin 2^-60 of a check that stands in for exact work: it must
 # exceed the rounding of what it compares, at most 2^-(bits-4) on a rung of
-# bits > 2 * 60 (see initial_bound and _b1_b2).
+# bits > 2 * 60 (see initial_bound and _b1_b2); _MARGIN is 2^60 (1 + 2^-60).
 _MARGIN_BITS = 60
+_MARGIN = (1 << _MARGIN_BITS) + 1
 
 
 @dataclass(frozen=True)
@@ -85,43 +86,49 @@ class ExponentBox:
 
 
 @lru_cache(maxsize=256)
-def _pair_constants(p: int, q: int, bits: int) -> tuple:
+def _rung_logs(p: int, q: int, bits: int) -> tuple:
     # The rung's scale w, and (lo, hi) mantissas at 2^-w of log p, log q,
-    # ln(log p * log q) and log p * log q; the least m with m * lo(ln 2) +
-    # min(o1.lo, o3.lo) > 4; the majorant's leading factor c = 1.36e23 *
-    # (log p * log q)^3 and its three offsets 1.63, 2.71 and 2.08 - ln(log p *
-    # log q); last, the least e >= 0 with e * lo(ln 2) + o3.lo >= 0, lo(ln 2)
-    # being the low end that _split gives log_of_fraction.
+    # log p * log q and ln(log p * log q).
     w, lp, lq = scale(bits), certified_log(p, bits), certified_log(q, bits)
     lpq = product(lp, lq, w)
-    # 1.36e23 is the integer k, so k * lpq is exact on the mantissas.
-    k = 136 * 10 ** 21
-    c = product(product((k * lpq[0], k * lpq[1]), lpq, w), lpq, w)
     # ln of the enclosure lpq, outward rounded.
     ln_lpq = (log_of_fraction(lpq[0], 1 << w, bits)[0],
               log_of_fraction(lpq[1], 1 << w, bits)[1])
+    return w, lp, lq, lpq, ln_lpq
+
+
+@lru_cache(maxsize=256)
+def _majorant(p: int, q: int) -> tuple:
+    # At START_BITS: the scale w; the majorant's leading factor c = 1.36e23 *
+    # (log p * log q)^3 and its three offsets 1.63, 2.71 and 2.08 - ln(log p *
+    # log q); last, the least m with m * lo(ln 2) + min(o1.lo, o3.lo) > 4,
+    # lo(ln 2) being the low end that _split gives log_of_fraction.
+    w, _, _, lpq, ln_lpq = _rung_logs(p, q, START_BITS)
+    # 1.36e23 is the integer k, so k * lpq is exact on the mantissas.
+    k = 136 * 10 ** 21
+    c = product(product((k * lpq[0], k * lpq[1]), lpq, w), lpq, w)
     o1, o2, o3 = (((n << w) // 100, -(-(n << w) // 100)) for n in (163, 271, 208))
     o3 = (o3[0] - ln_lpq[1], o3[1] - ln_lpq[0])
-    ln2 = certified_log(2, bits)[0]
-    m_falls = ((4 << w) - min(o1[0], o3[0])) // ln2 + 1
-    return w, lp, lq, ln_lpq, lpq, m_falls, c, o1, o2, o3, max(0, -(o3[0] // ln2))
+    m_falls = ((4 << w) - min(o1[0], o3[0])) // certified_log(2, START_BITS)[0] + 1
+    return w, c, o1, o2, o3, m_falls
 
 
-def _f_upper(x: int, pair: PrimePair, bits: int) -> int:
-    # Upper endpoint, a mantissa at scale(bits), of the Baker-type majorant
-    # evaluated at log d = x, as c * (lx + 1.63) * (lx + 2.71) * (t3 * t3)
-    # with t3 = lx + o3, each product rounded outward on the mantissas.
-    w, *_, c, o1, o2, o3, e_pos = _pair_constants(pair.p, pair.q, bits)
-    if x.bit_length() > e_pos:
-        # lo(ln x) >= floor(log2 x) * lo(ln 2) (_split's e_lo) makes every
-        # factor's low end >= 0, so each product's high end is the product
-        # of the high ends: the same mantissa, read on high ends alone.
-        lx = log_upper(x, 1, bits)
+def _f_upper(x: int, pair: PrimePair) -> int:
+    # Upper endpoint, a mantissa at scale(START_BITS), of the Baker-type
+    # majorant evaluated at log d = x, as c * (lx + 1.63) * (lx + 2.71) *
+    # (t3 * t3) with t3 = lx + o3, each product rounded outward on the
+    # mantissas.
+    w, c, o1, o2, o3, m_falls = _majorant(pair.p, pair.q)
+    if x.bit_length() > m_falls:
+        # lo(ln x) >= floor(log2 x) * lo(ln 2) (_split's e_lo) puts the low
+        # end of every lx + o_i above 4, so each product's high end is the
+        # product of the high ends: the same mantissa, read on high ends alone.
+        lx = log_upper(x, 1, START_BITS)
         f = -(-(c[1] * (lx + o1[1])) >> w)
         f = -(-(f * (lx + o2[1])) >> w)
         t3 = lx + o3[1]
         return -(-(f * -(-(t3 * t3) >> w)) >> w)
-    lx = log_of_fraction(x, 1, bits)
+    lx = log_of_fraction(x, 1, START_BITS)
     t1, t2, t3 = ((lx[0] + o[0], lx[1] + o[1]) for o in (o1, o2, o3))
     return product(product(product(c, t1, w), t2, w), product(t3, t3, w), w)[1]
 
@@ -165,7 +172,7 @@ def initial_bound(pair: PrimePair) -> Fraction:
     only at the final lo and hi; the comment below says why that gives the
     B0 of _bracket on F, which is the fallback when a check fails.
     """
-    w, *_, m_falls, c, o1, o2, o3, _ = _pair_constants(pair.p, pair.q, START_BITS)
+    w, c, o1, o2, o3, m_falls = _majorant(pair.p, pair.q)
     cf, f1, f2, f3 = (v[1] / (1 << w) for v in (c, o1, o2, o3))
 
     def floats(x: int) -> float:
@@ -188,12 +195,11 @@ def initial_bound(pair: PrimePair) -> Fraction:
     # F(g/2) >= g/2; and each bisection midpoint that the floats put below
     # the crossing is at most lo, each one above it at least hi.
     g = 16 << ((hi - 1) // 16).bit_length()
-    u = (1 << _MARGIN_BITS) + 1
     if (g.bit_length() - 2 >= m_falls
-            and _f_upper(hi, pair, START_BITS) * u < hi << w + _MARGIN_BITS
-            and _f_upper(lo, pair, START_BITS) << _MARGIN_BITS >= (lo << w) * u):
+            and _f_upper(hi, pair) * _MARGIN < hi << w + _MARGIN_BITS
+            and _f_upper(lo, pair) << _MARGIN_BITS >= (lo << w) * _MARGIN):
         return Fraction(hi)
-    return Fraction(_bracket(lambda x: Fraction(_f_upper(x, pair, START_BITS), 1 << w))[1])
+    return Fraction(_bracket(lambda x: Fraction(_f_upper(x, pair), 1 << w))[1])
 
 
 def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction, Fraction]:
@@ -201,21 +207,21 @@ def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction
     # u_p log p + ln(2 B1^2 / (log p log q)), each log at its high end and
     # ln(y / (log p log q)) <= (ln y).hi - ln_lpq.lo; mantissas at 2^-w.
     bits = cert.precision_bits
-    w, lp, lq, ln_lpq, lpq, *_ = _pair_constants(pair.p, pair.q, bits)
+    w, lp, lq, lpq, ln_lpq = _rung_logs(pair.p, pair.q, bits)
     dn, dd = cert.delta.numerator, cert.delta.denominator
     # Each log reads at most 2^-bits above the truth, so b1_gap lies in
     # [ln(2/delta), +2^-bits] and b1_size in [ln(8B / lpq.hi), ln(8B /
     # lpq.lo) + 2^-(bits-1)].  Where one argument exceeds the other by the
     # factor 1 + 2^-60 with lpq at its end against it, its log is the max:
     # 2 dd / dn against 8B 2^w / lpq is gap * lpq against size, integers.
-    gap, size, u = 2 * dd * B.denominator, 8 * B.numerator * dn << w, (1 << _MARGIN_BITS) + 1
-    if bits > 2 * _MARGIN_BITS and gap * lpq[0] << _MARGIN_BITS > size * u:
-        b1 = log_upper(2 * dd, dn, bits)
-    elif bits > 2 * _MARGIN_BITS and size << _MARGIN_BITS > gap * lpq[1] * u:
-        b1 = log_upper(8 * B.numerator, B.denominator, bits) - ln_lpq[0]
-    else:
-        b1 = max(log_upper(2 * dd, dn, bits),
-                 log_upper(8 * B.numerator, B.denominator, bits) - ln_lpq[0])
+    gap, size = 2 * dd * B.denominator, 8 * B.numerator * dn << w
+    decided = bits > 2 * _MARGIN_BITS
+    logs = []
+    if not (decided and size << _MARGIN_BITS > gap * lpq[1] * _MARGIN):
+        logs.append(log_upper(2 * dd, dn, bits))
+    if not (decided and gap * lpq[0] << _MARGIN_BITS > size * _MARGIN):
+        logs.append(log_upper(8 * B.numerator, B.denominator, bits) - ln_lpq[0])
+    b1 = max(logs)
     tail = log_upper(2 * b1 * b1, 1 << 2 * w, bits) - ln_lpq[0]
     b2 = 2 * b1 + pair.u_q * lq[1] + pair.u_p * lp[1] + tail
     return Fraction(b1, 1 << w), Fraction(b2, 1 << w)
@@ -224,8 +230,6 @@ def _b1_b2(pair: PrimePair, B: Fraction, cert: GapCertificate) -> tuple[Fraction
 def reduce_once(pair: PrimePair, B) -> ReductionStep:
     """One reduction-lemma application at the current bound B >= log d."""
     B = B if type(B) is Fraction else Fraction(B)
-    if B.numerator < B.denominator:
-        raise ValueError("B must be at least 1")
     cert = linear_form_gap(pair, B)
     B1, B2 = _b1_b2(pair, B, cert)
     return ReductionStep(B_in=B, delta=cert.delta, B1=B1, B2=B2,
@@ -273,10 +277,8 @@ def exponent_box(trace: ReductionTrace) -> ExponentBox:
     the trace's precision, so recomputing at higher precision can only
     shrink the caps.
     """
-    bits = trace.precision_bits
-    unit = 1 << scale(bits)
-    lp_lo = Fraction(certified_log(trace.pair.p, bits)[0], unit)
-    lq_lo = Fraction(certified_log(trace.pair.q, bits)[0], unit)
+    w, lp, lq, _, _ = _rung_logs(trace.pair.p, trace.pair.q, trace.precision_bits)
+    lp_lo, lq_lo = Fraction(lp[0], 1 << w), Fraction(lq[0], 1 << w)
     return ExponentBox(
         a12_cap=trace.final_B1 // lp_lo,
         b12_cap=trace.final_B1 // lq_lo,

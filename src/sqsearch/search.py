@@ -42,6 +42,16 @@ MAX_BOX_VOLUME = 10 ** 8      # (a12+1)(b12+1)(a+1)(b+1)
 MAX_ORACLE_HEIGHT = 200_000
 
 
+def _verify(tup, members: tuple[int, ...], witnesses, pair: PrimePair) -> None:
+    # Strict order of the members, then each x*y+1 over the pairs in
+    # combinations order against its witness.
+    if not all(x < y for x, y in zip(members, members[1:])):
+        raise AssertionError(f"ordering violated: {tup}")
+    for (x, y), s in zip(combinations(members, 2), witnesses):
+        if as_s_unit(x * y + 1, pair) != s:
+            raise AssertionError(f"S-unit witness mismatch on {x}*{y}+1")
+
+
 @dataclass(frozen=True)
 class Triple:
     """S-Diophantine triple a < b < c with its three S-unit witnesses."""
@@ -61,12 +71,7 @@ class Triple:
 
     def verify(self, pair: PrimePair) -> None:
         """Ordering and S-unit witnesses; the lemmas are lemma_predicates'."""
-        if not self.a < self.b < self.c:
-            raise AssertionError(f"ordering violated: {self}")
-        for (x, y), s in zip(combinations((self.a, self.b, self.c), 2),
-                             (self.s1, self.s2, self.s4)):
-            if as_s_unit(x * y + 1, pair) != s:
-                raise AssertionError(f"S-unit witness mismatch on {x}*{y}+1")
+        _verify(self, (self.a, self.b, self.c), (self.s1, self.s2, self.s4), pair)
 
 
 def two_smallest_equal(values: tuple[int, int, int, int]) -> bool:
@@ -93,11 +98,7 @@ class QuadrupleWitness:
 
     def verify(self, pair: PrimePair) -> None:
         """Ordering and S-unit witnesses; the lemmas are lemma_predicates'."""
-        if not self.a < self.b < self.c < self.d:
-            raise AssertionError(f"ordering violated: {self}")
-        for (x, y), s in zip(combinations((self.a, self.b, self.c, self.d), 2), self.s):
-            if as_s_unit(x * y + 1, pair) != s:
-                raise AssertionError(f"S-unit witness mismatch on {x}*{y}+1")
+        _verify(self, (self.a, self.b, self.c, self.d), self.s, pair)
 
 
 @dataclass(frozen=True)

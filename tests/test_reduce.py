@@ -280,17 +280,16 @@ def doubling_initial_bound(pair):
     # The upward grid scan that initial_bound's fixed-point start replaced:
     # double hi from 16 until F(hi) < hi, then the same bisection.
     f = reduce_module._f_upper
-    bits = reduce_module.START_BITS
-    w = diolog.scale(bits)  # f is F's high end as a mantissa at 2^-w
+    w = diolog.scale(reduce_module.START_BITS)  # f is F's high end as a mantissa at 2^-w
     lo, hi = 4, 16
-    while not f(hi, pair, bits) < hi << w:
+    while not f(hi, pair) < hi << w:
         lo = hi
         hi *= 2
         if hi > 1 << 4096:
             raise ArithmeticError("no crossing found; inputs out of range")
     while hi - lo > max(1, hi // 1000):
         mid = (lo + hi) // 2
-        if f(mid, pair, bits) < mid << w:
+        if f(mid, pair) < mid << w:
             hi = mid
         else:
             lo = mid
@@ -322,7 +321,7 @@ def test_initial_bound_stepping_loops_match_doubling_scan(monkeypatch, majorant)
     # On the real majorant four iterates almost always land on the scan's
     # grid point; these stand-ins make each stepping loop do the work.
     monkeypatch.setattr(reduce_module, "_f_upper",
-                        lambda x, pair, bits: majorant(x) << diolog.scale(bits))
+                        lambda x, pair: majorant(x) << diolog.scale(reduce_module.START_BITS))
     assert initial_bound(PAIR_23) == doubling_initial_bound(PAIR_23)
 
 
@@ -335,9 +334,9 @@ def test_initial_bound_majorant_evaluations(monkeypatch, pq):
     calls = []
     f = reduce_module._f_upper
 
-    def counting(x, pair, bits):
+    def counting(x, pair):
         calls.append(x)
-        return f(x, pair, bits)
+        return f(x, pair)
 
     monkeypatch.setattr(reduce_module, "_f_upper", counting)
     initial_bound(PrimePair.of(*pq))
@@ -364,13 +363,14 @@ def _b0_population():
 
 def test_initial_bound_fast_path_equals_fallback(monkeypatch):
     # The float bracket and its two certified checks give the B0 that the
-    # bracket on the certified majorant gives, and no pair falls back.
+    # bracket on the certified majorant gives, and no pair falls back.  Both
+    # checks evaluate above 2^m_falls, so the product branch of _f_upper
+    # never runs in production.
     f = reduce_module._f_upper
-    bits = reduce_module.START_BITS
-    w = diolog.scale(bits)
+    w = diolog.scale(reduce_module.START_BITS)
     calls = []
     monkeypatch.setattr(reduce_module, "_f_upper",
-                        lambda x, pair, bits: calls.append(x) or f(x, pair, bits))
+                        lambda x, pair: calls.append(x) or f(x, pair))
     pairs = _b0_population()
     assert len(pairs) >= 3000
     for pq in pairs:
@@ -378,13 +378,16 @@ def test_initial_bound_fast_path_equals_fallback(monkeypatch):
         calls.clear()
         B0 = initial_bound(pair)
         assert len(calls) == 2, pq
-        certified = reduce_module._bracket(lambda x: Fraction(f(x, pair, bits), 1 << w))
+        m_falls = reduce_module._majorant(*pq)[-1]
+        assert all(x.bit_length() > m_falls for x in calls), pq
+        certified = reduce_module._bracket(lambda x: Fraction(f(x, pair), 1 << w))
         assert B0 == certified[1], pq
 
 
 def test_initial_bound_out_of_range_raises(monkeypatch):
     # F(x) >= x everywhere: no crossing at or below the cap 2^4096.
-    monkeypatch.setattr(reduce_module, "_f_upper", lambda x, pair, bits: x << diolog.scale(bits))
+    monkeypatch.setattr(reduce_module, "_f_upper",
+                        lambda x, pair: x << diolog.scale(reduce_module.START_BITS))
     with pytest.raises(ArithmeticError, match="out of range"):
         initial_bound(PAIR_23)
 
@@ -443,7 +446,7 @@ def test_integer_chain_equals_enclosure_formulas(a, b, x, B):
     cert = linear_form_gap(pair, B)
     F, B1, B2 = enclosure_formulas(pair, x, B, cert)
     w = diolog.scale(reduce_module.START_BITS)
-    assert Fraction(reduce_module._f_upper(x, pair, reduce_module.START_BITS), 1 << w) == F
+    assert Fraction(reduce_module._f_upper(x, pair), 1 << w) == F
     assert reduce_module._b1_b2(pair, B, cert) == (B1, B2)
 
 
@@ -463,7 +466,7 @@ def test_b1_is_the_larger_log_on_both_sides_of_the_margin(monkeypatch, bits):
     monkeypatch.setattr(reduce_module, "log_upper", lambda *a: logs.append(a) or log_upper(*a))
     for pq in [(2, 3), (3, 5), (2, 999999937), (99989, 99991)]:
         pair = PrimePair.of(*pq)
-        w, lp, lq, ln_lpq, lpq, *_ = reduce_module._pair_constants(*pq, bits)
+        w, lp, lq, lpq, ln_lpq = reduce_module._rung_logs(*pq, bits)
         for B in (Fraction(3), Fraction(10 ** 30 + 7, 3),
                   Fraction(rng.randrange(1, 1 << 80), rng.randrange(1, 1 << 20))):
             for L in (lpq[0], lpq[1], (lpq[0] + lpq[1]) // 2):
@@ -497,12 +500,12 @@ def test_reduce_full_ends_before_a_bound_below_1(pq):
 
 @pytest.mark.parametrize("pq", [(2, 3), (99989, 99991)], ids=lambda pq: f"{pq[0]}-{pq[1]}")
 def test_f_upper_high_ends_equal_the_product_path(pq):
-    # Where floor(log2 x) * lo(ln 2) shows every factor positive, _f_upper
-    # multiplies high ends alone; the outward products on both ends must give
-    # the same mantissa.  {99989, 99991} has t3 < 0 near x = 4, so the range
-    # crosses the switch; {2, 3} is on the fast side from x = 4.
+    # Above 2^m_falls, where floor(log2 x) * lo(ln 2) puts every lx + o_i
+    # above 4, _f_upper multiplies high ends alone; the outward products on
+    # both ends must give the same mantissa.  The range 4 ... 1023 and
+    # 2^e - 1, 2^e, 2^e + 1 crosses the switch for both pairs.
     bits = reduce_module.START_BITS
-    w, *_, c, o1, o2, o3, e_pos = reduce_module._pair_constants(*pq, bits)
+    w, c, o1, o2, o3, m_falls = reduce_module._majorant(*pq)
     product = diolog.product
 
     def product_path(x):
@@ -510,8 +513,8 @@ def test_f_upper_high_ends_equal_the_product_path(pq):
         t1, t2, t3 = ((lx[0] + o[0], lx[1] + o[1]) for o in (o1, o2, o3))
         return product(product(product(c, t1, w), t2, w), product(t3, t3, w), w)[1]
 
-    assert (e_pos > 2) == (pq == (99989, 99991))
+    assert m_falls == {(2, 3): 4, (99989, 99991): 10}[pq]
     xs = list(range(4, 1 << 10)) + [(1 << e) + d for e in range(10, 4097, 7) for d in (-1, 0, 1)]
     pair = PrimePair.of(*pq)
     for x in xs:
-        assert reduce_module._f_upper(x, pair, bits) == product_path(x), x
+        assert reduce_module._f_upper(x, pair) == product_path(x), x
