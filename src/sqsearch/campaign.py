@@ -4,12 +4,14 @@ and the command-line interface.
 `sqsearch.checkpoint` owns the checkpoint file; a forced restart skips the
 resume and empties the file through its append handle.
 
-A sweep at workers = N > 1 forks N processes (the `fork` start method,
-pinned, not the platform default), gives each a fixed stride of the pair
-list and streams each one's records over a pipe of its own; the parent alone
-writes the checkpoint.  Workers share nothing, so a dead worker is a pipe
-that ended early: its current pair gets an error record, and the sweep
-finishes the rest.
+A sweep at workers = N splits the pairs left into n = min(N, pairs left)
+fixed strides.  The sweep's own process runs the first and alone writes the
+checkpoint; it forks n - 1 workers (the `fork` start method, pinned, not the
+platform default) for the others, each streaming its records over a pipe of
+its own.  Workers share nothing, so a dead worker is a pipe that ended
+early: its current pair gets an error record, and the sweep finishes the
+rest.  A signal that kills the sweep's own process ends the sweep, at any N;
+a resume continues from the last record written.
 
 Exit codes: 0 completed with nothing notable, 2 completed and at least one
 quadruple found (which would contradict the two-prime conjecture) or one
@@ -160,51 +162,63 @@ def _run_stride(tasks: list[tuple[int, int]], conn) -> None:
     conn.close()
 
 
-def _run_forked(pending: list[tuple[int, int]], workers: int, consume) -> None:
-    """Run pending on at most `workers` forked processes, worker k on the
-    fixed stride pending[k::n], n = min(workers, len(pending)), each sending
-    its records over a pipe of its own.  A worker whose pipe ends before its
-    stride does has died: the pair it was on gets an error record naming the
-    exit code, and one fresh worker takes the rest of its stride.  Each
-    replacement's stride is shorter, so the loop ends; at most `workers`
-    processes are ever alive, and none outlives the call."""
-    # Imported here: only a sweep at workers > 1 forks, and the import adds
-    # about 1 MB to the resident size of every other command.
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    ctx = multiprocessing.get_context("fork")
-    n = min(workers, len(pending))
-    strides = [pending[k::n] for k in range(n)]  # each waits for a worker
+def _run_strides(pending: list[tuple[int, int]], workers: int, consume) -> None:
+    """Run pending as n = min(workers, len(pending)) fixed strides, stride k
+    being pending[k::n], and hand every record to consume.  This process
+    runs stride 0 and, after each of its pairs, reads every record that is
+    ready; strides 1 .. n - 1 run on forked workers, each sending its
+    records over a pipe of its own.  A worker whose pipe ends before its
+    stride does has died: the pair it was on gets an error record naming
+    the exit code, and one fresh worker takes the rest of its stride.  Each
+    replacement's stride is shorter, so the loop ends; at most n - 1
+    workers are ever alive, and none outlives the call.  At n = 1, and with
+    nothing pending, nothing is forked or imported."""
+    n = min(workers, len(pending)) or 1
     running = {}  # reader -> [process, stride, records read, time of last]
+    if n > 1:
+        # Imported here: only a sweep with a second stride forks, and the
+        # import adds about 1 MB to the resident size of every other command.
+        import multiprocessing
+        from multiprocessing.connection import wait
+        ctx = multiprocessing.get_context("fork")
+
+    def start(stride: list[tuple[int, int]]) -> None:
+        reader, writer = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_run_stride, args=(stride, writer), daemon=True)
+        proc.start()
+        # Only the child may hold the write end, or its death is no EOF.
+        writer.close()
+        running[reader] = [proc, stride, 0, time.perf_counter()]
+
+    def read(reader) -> None:
+        proc, stride, done, t_last = running[reader]
+        try:
+            rec = reader.recv()
+        except (EOFError, OSError):  # OSError: it died mid-message
+            del running[reader]
+            reader.close()
+            proc.join()
+            if done < len(stride):
+                p, q = stride[done]
+                ms = int((time.perf_counter() - t_last) * 1000)
+                consume(error_record(p, q, f"worker exited with code {proc.exitcode}", ms))
+                if done + 1 < len(stride):
+                    start(stride[done + 1:])
+            return
+        running[reader][2:] = done + 1, time.perf_counter()
+        consume(rec)
+
     try:
-        while strides or running:
-            for stride in strides:
-                reader, writer = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_run_stride, args=(stride, writer), daemon=True)
-                proc.start()
-                # Only the child may hold the write end, or its death is no EOF.
-                writer.close()
-                running[reader] = [proc, stride, 0, time.perf_counter()]
-            strides = []
+        for k in range(1, n):
+            start(pending[k::n])
+        for task in pending[::n]:
+            consume(_run_pair(task))
+            while running and (ready := wait(list(running), timeout=0)):
+                for reader in ready:
+                    read(reader)
+        while running:
             for reader in wait(list(running)):
-                proc, stride, done, t_last = running[reader]
-                try:
-                    rec = reader.recv()
-                except (EOFError, OSError):  # OSError: it died mid-message
-                    del running[reader]
-                    reader.close()
-                    proc.join()
-                    if done < len(stride):
-                        p, q = stride[done]
-                        ms = int((time.perf_counter() - t_last) * 1000)
-                        consume(error_record(
-                            p, q, f"worker exited with code {proc.exitcode}", ms))
-                        if done + 1 < len(stride):
-                            strides.append(stride[done + 1:])
-                    continue
-                running[reader][2:] = done + 1, time.perf_counter()
-                consume(rec)
+                read(reader)
     finally:
         for proc, *_ in running.values():
             proc.terminate()
@@ -213,12 +227,12 @@ def _run_forked(pending: list[tuple[int, int]], workers: int, consume) -> None:
 
 def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
     """Run the pair list, append one checkpoint record per completion, and
-    resume past already-checkpointed pairs.  At workers = 1 the pairs run in
-    this process; above that they run on forked workers with fixed strides
-    of the pair list (see _run_forked), and a worker that dies costs an
-    error record for the pair it was on, while one fresh worker runs the
-    rest of its stride.  The summary counts only records of this sweep's
-    own pairs.  A range with no pair raises ValueError before the
+    resume past already-checkpointed pairs.  The pairs left run as
+    min(workers, pairs left) fixed strides, the first in this process and
+    each other on a forked worker (see _run_strides); a worker that dies
+    costs an error record for the pair it was on, while one fresh worker
+    runs the rest of its stride.  The summary counts only records of this
+    sweep's own pairs.  A range with no pair raises ValueError before the
     checkpoint is touched."""
     t0 = time.perf_counter()
     pairs = _pair_list(spec)
@@ -258,11 +272,7 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
             ckpt.append(rec)
 
     try:
-        if spec.workers <= 1:
-            for task in pending:
-                consume(_run_pair(task))
-        else:
-            _run_forked(pending, spec.workers, consume)
+        _run_strides(pending, spec.workers, consume)
     finally:
         if ckpt is not None:
             ckpt.close()

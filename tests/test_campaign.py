@@ -142,6 +142,27 @@ def test_sweep_max_pairs_then_resume_on_workers(tmp_path, serial_records):
     assert records_sans_ms(ck) == serial_records
 
 
+def test_sweep_own_process_runs_the_first_stride(tmp_path, monkeypatch, serial_records):
+    # Forked workers append to their own copies of `ran`, so it holds only
+    # the pairs that this process ran: stride 0 of the pending list, in order.
+    import sqsearch.campaign as campaign
+    ran, real_run = [], campaign._run_pair
+
+    def logged(task):
+        ran.append(task)
+        return real_run(task)
+
+    monkeypatch.setattr(campaign, "_run_pair", logged)
+    pending = [(2, q) for q in primes_in_range(3, 40)]
+    for workers, own in ((1, pending), (2, pending[0::2]), (3, pending[0::3])):
+        ran.clear()
+        ck = tmp_path / f"own{workers}.jsonl"
+        sweep(SweepSpec(**WORKER_RANGE, workers=workers, checkpoint_path=ck))
+        assert ran == own, workers
+        assert records_sans_ms(ck) == serial_records, workers
+        assert multiprocessing.active_children() == []
+
+
 @pytest.fixture
 def started(monkeypatch):
     # Every process a sweep starts, in start order.
@@ -157,17 +178,46 @@ def started(monkeypatch):
 
 
 def test_sweep_starts_no_more_workers_than_pairs(tmp_path, started):
+    # Three pairs at workers = 8 make three strides: this process runs the
+    # first, and two forked workers the other two.
     spec = SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=7, workers=8,
                      checkpoint_path=tmp_path / "three.jsonl")
     assert sweep(spec).pairs_processed == 3
-    assert len(started) == 3
+    assert len(started) == 2
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_resume_with_nothing_left_starts_no_worker(tmp_path, started):
+    ck = tmp_path / "complete.jsonl"
+    sweep(SweepSpec(**WORKER_RANGE, workers=1, checkpoint_path=ck))
+    again = sweep(SweepSpec(**WORKER_RANGE, workers=3, checkpoint_path=ck))
+    assert len(started) == 0
+    assert again.pairs_processed == 0 and again.pairs_skipped == 11
+    assert multiprocessing.active_children() == []
+
+
+def test_serial_and_empty_sweeps_never_import_multiprocessing(tmp_path):
+    # A sweep at --workers 1, and a forked-width resume with nothing left,
+    # run without the multiprocessing package (about 1 MB of resident size).
+    import sqsearch
+    ck = tmp_path / "serial.jsonl"
+    script = ("import sys; import sqsearch.campaign as c\n"
+              "for w in ('1', '3'):\n"
+              "    c.main(['sweep', '--q-min', '3', '--q-max', '20', '--workers', w,"
+              " '--checkpoint', sys.argv[1]])\n"
+              "print('multiprocessing' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sqsearch.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(ck)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "pairs resumed    : 7" in proc.stdout
+    assert proc.stdout.rstrip().endswith("False")
+
+
 def test_sweep_replaces_a_dead_worker_once(tmp_path, monkeypatch, serial_records, started):
-    # Worker 1's stride is q = 5, 11, 17, 23, 31; it dies on 5.  One fresh
-    # worker takes 11 .. 31 at once, so three starts in all, where a second
-    # round that split the rest over two workers would make four.
+    # This process runs stride 0; the one forked worker runs stride 1, q =
+    # 5, 11, 17, 23, 31, and dies on 5.  One fresh worker takes 11 .. 31 at
+    # once, so two starts in all, where a second round would make three.
     import sqsearch.campaign as campaign
     parent, real_run = os.getpid(), campaign._run_pair
 
@@ -180,7 +230,7 @@ def test_sweep_replaces_a_dead_worker_once(tmp_path, monkeypatch, serial_records
     ck = tmp_path / "replaced.jsonl"
     summary = sweep(SweepSpec(**WORKER_RANGE, workers=2, checkpoint_path=ck))
     assert summary.pairs_processed == 11 and summary.errors == 1
-    assert len(started) == 3
+    assert len(started) == 2
     records = records_sans_ms(ck)
     assert len(records) == 11
     lost = records.pop((2, 5))

@@ -194,6 +194,19 @@ def test_exponent_box_rounding_direction():
     assert fine.b_cap <= coarse.b_cap
 
 
+def test_exponent_box_divides_by_low_ends():
+    # B = (k * lo + 1) / 2^w puts B / log p just above k when divided by
+    # the low end lo of log p, and below k when divided by the high end, so
+    # only the low ends give caps that are never too small.
+    trace = dataclasses.replace(reduce_full(PAIR_23), precision_bits=128)
+    w, lp, lq, _, _ = reduce_module._rung_logs(2, 3, 128)
+    k = 7
+    for lo, caps in ((lp[0], ("a12_cap", "a_cap")), (lq[0], ("b12_cap", "b_cap"))):
+        bound = Fraction(k * lo + 1, 1 << w)
+        box = exponent_box(dataclasses.replace(trace, final_bound=bound, final_B1=bound))
+        assert [getattr(box, cap) for cap in caps] == [k, k]
+
+
 def test_reduce_full_respects_custom_policy(monkeypatch):
     monkeypatch.setattr(diolog, "START_BITS", 256)
     trace = reduce_full(PAIR_23)

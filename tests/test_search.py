@@ -139,6 +139,17 @@ def test_triple_verify_rejects_fabricated_witnesses():
         Triple(3, 1, 5, *real).verify(PAIR_23)
 
 
+def test_verify_rejects_equal_members():
+    # Members must be strictly increasing: (1, 1, 3) and (1, 1, 3, 5) over
+    # {2, 3} carry their true witnesses, so only the order can reject them.
+    t = [as_s_unit(v, PAIR_23) for v in (2, 4, 4)]
+    with pytest.raises(AssertionError, match="ordering"):
+        Triple(1, 1, 3, *t).verify(PAIR_23)
+    w = tuple(as_s_unit(v, PAIR_23) for v in (2, 4, 6, 4, 6, 16))
+    with pytest.raises(AssertionError, match="ordering"):
+        QuadrupleWitness(1, 1, 3, 5, w).verify(PAIR_23)
+
+
 def test_search_pair_23_ground_truth():
     report = search_pair(PAIR_23)
     assert [(t.a, t.b, t.c) for t in report.triples] == GROUND_TRUTH_23
