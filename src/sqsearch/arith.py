@@ -1,11 +1,11 @@
-"""Exact big-integer primitives: valuations, S-units, orders, lifting constants.
+"""Exact big-integer primitives: primality, valuations, S-units and the
+lifting constants of a prime pair.
 
 Everything here is pure integer arithmetic; no floats enter any code path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -14,9 +14,6 @@ __all__ = [
     "is_prime",
     "padic_valuation",
     "as_s_unit",
-    "multiplicative_order",
-    "lifting_constant",
-    "lb1_modulus",
 ]
 
 # Strong-pseudoprime witnesses making Miller-Rabin deterministic for all
@@ -82,10 +79,8 @@ class SUnit:
 class PrimePair:
     """Two distinct primes p, q with their lifting constants.
 
-    u_q is the exact q-adic valuation of p^ord_pq - 1, where ord_pq is the
-    multiplicative order of p modulo q (modulo 4 when q = 2); u_p is the
-    symmetric valuation with p and q swapped.  The pipeline reads only u_q
-    and u_p, so ord_pq is computed when read.
+    u_q = v_q(p^ord - 1), where ord is the multiplicative order of p modulo
+    q (modulo 4 when q = 2); u_p is the same valuation with p and q swapped.
     """
 
     p: int
@@ -102,14 +97,11 @@ class PrimePair:
                 raise ValueError(f"{r} is not prime")
         # u = v_q(p^(q-1) - 1) for odd q, with no order to find: ord divides
         # q - 1 and (q - 1)/ord is prime to q, so by the lifting-the-exponent
-        # lemma it is v_q(p^ord - 1).  q = 2 keeps the order mod 4, 1 or 2.
-        u_q, u_p = (_lift(a, b, b - 1 if b > 2 else multiplicative_order(a, 4))
+        # lemma it is v_q(p^ord - 1).  q = 2 takes the order of p mod 4: 1
+        # when p = 1 (mod 4), else 2.
+        u_q, u_p = (_lift(a, b, b - 1 if b > 2 else (1 if a % 4 == 1 else 2))
                     for a, b in ((p, q), (q, p)))
         return cls(p=p, q=q, u_q=u_q, u_p=u_p)
-
-    @property
-    def ord_pq(self) -> int:
-        return lifting_constant(self.p, self.q)[0]
 
 
 def as_s_unit(n: int, pair: PrimePair) -> SUnit | None:
@@ -126,41 +118,6 @@ def as_s_unit(n: int, pair: PrimePair) -> SUnit | None:
     return SUnit(value=n, alpha=a, beta=b)
 
 
-def _factor_by_trial(n: int) -> dict[int, int]:
-    # Group orders here are at most q - 1 for sweep-scale q, so plain trial
-    # division up to sqrt(n) is enough.
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def multiplicative_order(base: int, modulus: int) -> int:
-    """Smallest k >= 1 with base^k = 1 (mod modulus); modulus an odd prime or 4."""
-    if modulus == 4:
-        group_order = 2
-    elif modulus > 2 and modulus % 2 == 1 and is_prime(modulus):
-        group_order = modulus - 1
-    else:
-        raise ValueError("modulus must be an odd prime or 4")
-    if math.gcd(base, modulus) != 1:
-        raise ValueError("base must be coprime to the modulus")
-    order = group_order
-    for r, e in _factor_by_trial(group_order).items():
-        for _ in range(e):
-            if pow(base, order // r, modulus) == 1:
-                order //= r
-            else:
-                break
-    return order
-
-
 def _lift(p: int, q: int, e: int) -> int:
     # q-adic valuation of p^e - 1 without forming p^e: test ever higher
     # prime-power moduli.  Callers pass a multiple e of the order, so u >= 1.
@@ -168,16 +125,3 @@ def _lift(p: int, q: int, e: int) -> int:
     while pow(p, e, q ** (u + 1)) == 1:
         u += 1
     return u
-
-
-def lifting_constant(p: int, q: int) -> tuple[int, int]:
-    """(ord, u) with ord the order of p mod q (mod 4 if q = 2) and q^u || p^ord - 1."""
-    ord_ = multiplicative_order(p, 4 if q == 2 else q)
-    return ord_, _lift(p, q, ord_)
-
-
-def lb1_modulus(pair: PrimePair, z: int) -> int:
-    """M = ord_pq * q^(z - u_q), so that q^z | p^x - 1 forces M | x."""
-    if z < pair.u_q:
-        raise ValueError(f"z must be at least u_q = {pair.u_q}")
-    return pair.ord_pq * pair.q ** (z - pair.u_q)

@@ -95,7 +95,6 @@ class SweepSpec:
     p_fixed: int | None = 2
     q_min: int = 3
     q_max: int = 100
-    skip_33: bool = False
     workers: int = 1
     checkpoint_path: Path | None = None
     max_pairs: int | None = None
@@ -136,8 +135,6 @@ def _pair_list(spec: SweepSpec) -> list[tuple[int, int]]:
         pairs = [(ps[i], ps[j]) for i in range(len(ps)) for j in range(i + 1, len(ps))]
     else:
         raise ValueError(f"unknown sweep mode {spec.mode!r}")
-    if spec.skip_33:
-        pairs = [(p, q) for (p, q) in pairs if not (p % 4 == 3 and q % 4 == 3)]
     if spec.max_pairs is not None:
         pairs = pairs[: spec.max_pairs]
     return pairs
@@ -365,7 +362,7 @@ def _cmd_sweep(args) -> int:
             mode="all-pairs" if args.all_pairs else "fixed-p",
             p_fixed=None if args.all_pairs else args.p,
             q_min=args.q_min, q_max=args.q_max,
-            skip_33=args.skip_33, workers=args.workers,
+            workers=args.workers,
             checkpoint_path=Path(args.checkpoint) if args.checkpoint else None,
             max_pairs=args.max,
         )
@@ -473,8 +470,6 @@ def _build_parser() -> _Parser:
                     help="process at most this many pairs")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--checkpoint", type=str, default=None)
-    sp.add_argument("--skip-33", action="store_true",
-                    help="skip pairs with p = q = 3 (mod 4)")
     sp.add_argument("--force-restart", action="store_true",
                     help="discard an existing checkpoint")
     sp.set_defaults(func=_cmd_sweep)

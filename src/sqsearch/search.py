@@ -182,7 +182,9 @@ def extend_to_quadruples(t: Triple, box: ExponentBox,
                          pair: PrimePair) -> tuple[list[QuadrupleWitness], int]:
     """Quadruples extending t through d = (p^a6 q^b6 - 1)/c inside the box.
     Returns the quadruples and the number of exponent pairs (a6, b6) for
-    which c divides p^a6 q^b6 - 1."""
+    which c divides p^a6 q^b6 - 1.  ad+1 and bd+1 need only be S-units: the
+    box bounds every genuine quadruple, so one beyond it means a wrong box,
+    and it is reported, not dropped."""
     if not t.extendable:
         return [], 0
     found: list[QuadrupleWitness] = []
@@ -199,10 +201,10 @@ def extend_to_quadruples(t: Triple, box: ExponentBox,
             if d <= t.c:
                 continue
             s3 = as_s_unit(t.a * d + 1, pair)
-            if s3 is None or s3.alpha > box.a_cap or s3.beta > box.b_cap:
+            if s3 is None:
                 continue
             s5 = as_s_unit(t.b * d + 1, pair)
-            if s5 is None or s5.alpha > box.a_cap or s5.beta > box.b_cap:
+            if s5 is None:
                 continue
             s6 = SUnit(value=n + 1, alpha=a6, beta=b6)
             witness = QuadrupleWitness(a=t.a, b=t.b, c=t.c, d=d,

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from sqsearch.arith import PrimePair, as_s_unit, lb1_modulus
+from _orders import lb1_modulus
+from sqsearch.arith import PrimePair, as_s_unit
 from sqsearch.campaign import SweepSpec, load_checkpoint, main, sweep
 from sqsearch.diolog import certified_log, linear_form_gap, scale
 from sqsearch.reduce import exponent_box, initial_bound, reduce_full

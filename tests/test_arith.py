@@ -2,14 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _orders import lb1_modulus, lifting_constant, multiplicative_order, ord_pq
 from sqsearch.arith import (
     PrimePair,
     SUnit,
     as_s_unit,
     is_prime,
-    lb1_modulus,
-    lifting_constant,
-    multiplicative_order,
     padic_valuation,
 )
 
@@ -90,9 +88,9 @@ def test_prime_pair_constants_exact_division():
     for p, q in [(2, 3), (3, 2), (5, 7), (11, 2), (2, 13)]:
         pair = PrimePair.of(p, q)
         modulus = 4 if q == 2 else q
-        assert pow(p, pair.ord_pq, modulus) == 1
-        assert pow(p, pair.ord_pq, q ** pair.u_q) == 1
-        assert pow(p, pair.ord_pq, q ** (pair.u_q + 1)) != 1
+        assert pow(p, ord_pq(pair), modulus) == 1
+        assert pow(p, ord_pq(pair), q ** pair.u_q) == 1
+        assert pow(p, ord_pq(pair), q ** (pair.u_q + 1)) != 1
 
 
 # Pairs with q^2 | p^(q-1) - 1, so u_q = 2 (q is a base-p Wieferich prime).

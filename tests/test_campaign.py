@@ -311,14 +311,11 @@ def test_sweep_survives_a_killed_worker(tmp_path, serial_records, death, exitcod
     assert records == {k: v for k, v in serial_records.items() if k != (2, 11)}
 
 
-def test_sweep_all_pairs_mode_and_skip_33(tmp_path):
+def test_sweep_all_pairs_mode(tmp_path):
     spec = SweepSpec(mode="all-pairs", q_min=3, q_max=20, workers=1)
     # primes 3..19: 3,5,7,11,13,17,19 -> 21 pairs
     summary = sweep(spec)
     assert summary.pairs_total == 21
-    spec33 = SweepSpec(mode="all-pairs", q_min=3, q_max=20, workers=1, skip_33=True)
-    # drops (3,7), (3,11), (3,19), (7,11), (7,19), (11,19)
-    assert sweep(spec33).pairs_total == 15
 
 
 def test_checkpoint_truncated_trailing_line(tmp_path, capsys):
@@ -555,12 +552,14 @@ def test_cli_oracle_usage_errors(capsys, argv, message):
     (["sweep", "--q-min", "100", "--q-max", "10"], "no prime pair"),
     (["sweep", "--q-min", "24", "--q-max", "28"], "no prime pair"),
     (["sweep", "--all-pairs", "--q-min", "3", "--q-max", "4"], "no prime pair"),
-    (["sweep", "--all-pairs", "--skip-33", "--q-min", "19", "--q-max", "23"], "no prime pair"),
+    (["sweep", "--all-pairs", "--skip-33", "--q-min", "3", "--q-max", "20"],
+     "unrecognized arguments"),
 ])
 def test_cli_inputs_that_would_hide_results(tmp_path, monkeypatch, capsys, argv, message):
     # Accepted, each would exit 0 with output that hides results: an empty
     # report, a sweep short of its last pair, a silently serial run, a sweep
-    # over a range with no pair.
+    # over a range with no pair, a script that still asks for the removed
+    # --skip-33 filter and would sweep more pairs than it meant to.
     monkeypatch.chdir(tmp_path)
     ck = tmp_path / "refused.jsonl"
     if argv[0] == "sweep":
