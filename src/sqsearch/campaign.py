@@ -142,14 +142,10 @@ def _pair_list(spec: SweepSpec) -> list[tuple[int, int]]:
 
 def _run_pair(task: tuple[int, int]) -> dict:
     p, q = task
-    t0 = time.perf_counter()
     try:
-        pair = PrimePair.of(p, q)
-        report = search_pair(pair)
-        return record_from_report(report)
+        return record_from_report(search_pair(PrimePair.of(p, q)))
     except Exception as exc:  # worker failures isolate to their pair
-        ms = int((time.perf_counter() - t0) * 1000)
-        return error_record(p, q, f"{type(exc).__name__}: {exc}", ms)
+        return error_record(p, q, f"{type(exc).__name__}: {exc}")
 
 
 def _run_stride(tasks: list[tuple[int, int]], conn) -> None:
@@ -171,7 +167,7 @@ def _run_strides(pending: list[tuple[int, int]], workers: int, consume) -> None:
     workers are ever alive, and none outlives the call.  At n = 1, and with
     nothing pending, nothing is forked or imported."""
     n = min(workers, len(pending)) or 1
-    running = {}  # reader -> [process, stride, records read, time of last]
+    running = {}  # reader -> [process, stride, records read]
     if n > 1:
         # Imported here: only a sweep with a second stride forks, and the
         # import adds about 1 MB to the resident size of every other command.
@@ -185,10 +181,10 @@ def _run_strides(pending: list[tuple[int, int]], workers: int, consume) -> None:
         proc.start()
         # Only the child may hold the write end, or its death is no EOF.
         writer.close()
-        running[reader] = [proc, stride, 0, time.perf_counter()]
+        running[reader] = [proc, stride, 0]
 
     def read(reader) -> None:
-        proc, stride, done, t_last = running[reader]
+        proc, stride, done = running[reader]
         try:
             rec = reader.recv()
         except (EOFError, OSError):  # OSError: it died mid-message
@@ -197,12 +193,11 @@ def _run_strides(pending: list[tuple[int, int]], workers: int, consume) -> None:
             proc.join()
             if done < len(stride):
                 p, q = stride[done]
-                ms = int((time.perf_counter() - t_last) * 1000)
-                consume(error_record(p, q, f"worker exited with code {proc.exitcode}", ms))
+                consume(error_record(p, q, f"worker exited with code {proc.exitcode}"))
                 if done + 1 < len(stride):
                     start(stride[done + 1:])
             return
-        running[reader][2:] = done + 1, time.perf_counter()
+        running[reader][2] = done + 1
         consume(rec)
 
     try:
@@ -312,7 +307,6 @@ def _print_report(report: PairReport) -> None:
         print(f"    NOTABLE: ({w.a}, {w.b}, {w.c}, {w.d})")
     for f in report.flags:
         print(f"  NOTABLE lemma flag     : {f}")
-    print(f"  wall time              : {report.wall_ms} ms")
 
 
 def _report_json(report: PairReport) -> dict:
@@ -341,8 +335,12 @@ def _check_oracle_height(n: int, flag: str) -> None:
 
 
 def _cmd_pair(args) -> int:
-    report = search_pair(_pair_arg(args.p, args.q))
+    pair = _pair_arg(args.p, args.q)
+    t0 = time.perf_counter()
+    report = search_pair(pair)
+    ms = int((time.perf_counter() - t0) * 1000)
     _print_report(report)
+    print(f"  wall time              : {ms} ms")
     if args.json:
         Path(args.json).write_text(json.dumps(_report_json(report), indent=2) + "\n",
                                    encoding="utf-8")
@@ -434,14 +432,12 @@ def _cmd_report(args) -> int:
         "triples": sum(len(r.get("triples", [])) for r in done),
         "quadruples": [list(q) for q in quads],
         "flagged": [list(f) for f in flagged],
-        "ms": sum(r.get("ms", 0) for r in records.values()),
     }
-    print(f"{'p':>10} {'q':>10} {'status':>7} {'triples':>8} {'quads':>6} {'ms':>8}")
+    print(f"{'p':>10} {'q':>10} {'status':>7} {'triples':>8} {'quads':>6}")
     for (p, q) in sorted(records):
         r = records[(p, q)]
         print(f"{p:>10} {q:>10} {r['status']:>7} "
-              f"{len(r.get('triples', [])):>8} {len(r.get('quadruples', [])):>6} "
-              f"{r.get('ms', 0):>8}")
+              f"{len(r.get('triples', [])):>8} {len(r.get('quadruples', [])):>6}")
     for p, q, what in quads + flagged:
         print(f"NOTABLE pair ({p}, {q}): {what}")
     print(json.dumps(agg, sort_keys=True))

@@ -1,6 +1,8 @@
 """The checkpoint file: one JSON record per pair and line, appended as pairs
 complete.  This module alone builds, reads, validates and writes records, so
-a sweep's resume and a report cannot read one differently.
+a sweep's resume and a report cannot read one differently.  A record is a
+function of its pair alone, with no timing in it, so sweeps of one range
+write the same lines, in an order that depends on the workers.
 
 A record counts only once its newline is written: the bytes after the last
 newline are a torn tail, which a reader skips with a warning and the append
@@ -56,24 +58,23 @@ def record_from_report(report: PairReport) -> dict:
         "triples": [[t.a, t.b, t.c] for t in report.triples],
         "quad_candidates": report.quad_candidates,
         "quadruples": [[w.a, w.b, w.c, w.d] for w in report.quadruples],
-        "ms": report.wall_ms,
     }
     if report.flags:
         rec["flags"] = list(report.flags)
     return rec
 
 
-def error_record(p: int, q: int, message: str, ms: int) -> dict:
-    return {"v": SCHEMA_VERSION, "p": p, "q": q, "status": "error",
-            "error": message, "ms": ms}
+def error_record(p: int, q: int, message: str) -> dict:
+    return {"v": SCHEMA_VERSION, "p": p, "q": q, "status": "error", "error": message}
 
 
 def _well_formed(rec) -> bool:
     # A record without a known status would count its pair as done; a p or q
-    # that is no int, or an ill-typed triples, quadruples, flags or ms, would
+    # that is no int, or an ill-typed triples, quadruples or flags, would
     # fail later without naming its line, or fake a quadruple.  A missing
-    # optional field reads as empty or 0, and a bool is no int here.  An error
-    # record carries no result: the writer never puts one there.
+    # optional field reads as empty, and a bool is no int here.  A field no
+    # reader reads is not checked.  An error record carries no result: the
+    # writer never puts one there.
     def rows(v, n: int) -> bool:
         return type(v) is list and all(
             type(t) is list and len(t) == n and all(type(x) is int for x in t) for t in v)
@@ -84,8 +85,7 @@ def _well_formed(rec) -> bool:
     flags = rec.get("flags", [])
     return (type(rec.get("p")) is int and type(rec.get("q")) is int
             and rows(rec.get("triples", []), 3) and rows(rec.get("quadruples", []), 4)
-            and type(flags) is list and all(type(f) is str for f in flags)
-            and type(rec.get("ms", 0)) is int)
+            and type(flags) is list and all(type(f) is str for f in flags))
 
 
 def iter_records(path: Path) -> Iterator[dict]:

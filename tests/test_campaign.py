@@ -24,12 +24,7 @@ from sqsearch.search import search_pair
 
 SCHEMA_KEYS = {"v", "p", "q", "status", "final_bound", "b1", "pair_count",
                "triple_candidates", "triples", "quad_candidates",
-               "quadruples", "ms"}
-
-
-def records_sans_ms(path):
-    return {k: {kk: vv for kk, vv in rec.items() if kk != "ms"}
-            for k, rec in load_checkpoint(Path(path)).items()}
+               "quadruples"}
 
 
 def test_primes_in_range_small():
@@ -76,8 +71,7 @@ def test_sweep_singleton_matches_search_pair(tmp_path):
     assert summary.pairs_total == 1 and summary.pairs_processed == 1
     rec = load_checkpoint(ck)[(2, 3)]
     direct = record_from_report(search_pair(PrimePair.of(2, 3)))
-    assert {k: v for k, v in rec.items() if k != "ms"} == \
-        {k: v for k, v in direct.items() if k != "ms"}
+    assert rec == direct
 
 
 def test_sweep_q_to_100(tmp_path):
@@ -108,7 +102,7 @@ def test_sweep_kill_and_resume(tmp_path):
     sweep(SweepSpec(**base, checkpoint_path=broken, max_pairs=5))
     resumed = sweep(SweepSpec(**base, checkpoint_path=broken))
     assert resumed.pairs_skipped == 5
-    assert records_sans_ms(full) == records_sans_ms(broken)
+    assert load_checkpoint(full) == load_checkpoint(broken)
 
 
 WORKER_RANGE = dict(mode="fixed-p", p_fixed=2, q_min=3, q_max=40)  # 11 pairs
@@ -118,7 +112,7 @@ WORKER_RANGE = dict(mode="fixed-p", p_fixed=2, q_min=3, q_max=40)  # 11 pairs
 def serial_records(tmp_path_factory):
     ck = tmp_path_factory.mktemp("serial") / "w1.jsonl"
     sweep(SweepSpec(**WORKER_RANGE, workers=1, checkpoint_path=ck))
-    return records_sans_ms(ck)
+    return load_checkpoint(ck)
 
 
 def test_sweep_worker_count_independence(tmp_path, serial_records):
@@ -126,7 +120,7 @@ def test_sweep_worker_count_independence(tmp_path, serial_records):
         many = tmp_path / f"w{workers}.jsonl"
         summary = sweep(SweepSpec(**WORKER_RANGE, workers=workers, checkpoint_path=many))
         assert summary.pairs_processed == 11 and summary.errors == 0
-        assert records_sans_ms(many) == serial_records, workers
+        assert load_checkpoint(many) == serial_records, workers
         assert multiprocessing.active_children() == []
 
 
@@ -139,7 +133,7 @@ def test_sweep_max_pairs_then_resume_on_workers(tmp_path, serial_records):
     assert sorted(load_checkpoint(ck)) == sorted(serial_records)[:7]
     resumed = sweep(SweepSpec(**WORKER_RANGE, workers=2, checkpoint_path=ck))
     assert resumed.pairs_skipped == 7 and resumed.pairs_processed == 4
-    assert records_sans_ms(ck) == serial_records
+    assert load_checkpoint(ck) == serial_records
 
 
 def test_sweep_own_process_runs_the_first_stride(tmp_path, monkeypatch, serial_records):
@@ -159,7 +153,7 @@ def test_sweep_own_process_runs_the_first_stride(tmp_path, monkeypatch, serial_r
         ck = tmp_path / f"own{workers}.jsonl"
         sweep(SweepSpec(**WORKER_RANGE, workers=workers, checkpoint_path=ck))
         assert ran == own, workers
-        assert records_sans_ms(ck) == serial_records, workers
+        assert load_checkpoint(ck) == serial_records, workers
         assert multiprocessing.active_children() == []
 
 
@@ -231,7 +225,7 @@ def test_sweep_replaces_a_dead_worker_once(tmp_path, monkeypatch, serial_records
     summary = sweep(SweepSpec(**WORKER_RANGE, workers=2, checkpoint_path=ck))
     assert summary.pairs_processed == 11 and summary.errors == 1
     assert len(started) == 2
-    records = records_sans_ms(ck)
+    records = load_checkpoint(ck)
     assert len(records) == 11
     lost = records.pop((2, 5))
     assert lost["status"] == "error" and lost["error"] == "worker exited with code 7"
@@ -304,7 +298,7 @@ def test_sweep_survives_a_killed_worker(tmp_path, serial_records, death, exitcod
     assert "errors           : 1" in proc.stdout
     assert "pairs processed  : 11" in proc.stdout
     assert "children left: 0" in proc.stdout
-    records = records_sans_ms(ck)
+    records = load_checkpoint(ck)
     lost = records.pop((2, 11))
     assert lost["status"] == "error"
     assert lost["error"] == f"worker exited with code {exitcode}"
@@ -369,7 +363,7 @@ def test_appender_cuts_the_torn_tail_as_the_forward_rule(tmp_path, monkeypatch, 
     handle = checkpoint.Appender(ck, restart=restart)
     kept = b"" if restart else _complete_lines(raw)
     assert ck.read_bytes() == kept
-    handle.append({"v": 1, "p": 2, "q": 7, "status": "error", "error": "x", "ms": 0})
+    handle.append({"v": 1, "p": 2, "q": 7, "status": "error", "error": "x"})
     handle.close()
     assert ck.read_bytes().startswith(kept)
     assert ck.read_bytes().count(b"\n") == kept.count(b"\n") + 1
@@ -403,7 +397,7 @@ def test_sweep_resume_after_unterminated_final_record(tmp_path):
     assert resumed.pairs_skipped == 4
     assert resumed.pairs_processed == total - 4
     assert len(broken.read_text().splitlines()) == total
-    assert records_sans_ms(full) == records_sans_ms(broken)
+    assert load_checkpoint(full) == load_checkpoint(broken)
 
 
 def test_checkpoint_corrupt_middle_line_refuses(tmp_path):
@@ -415,7 +409,7 @@ def test_checkpoint_corrupt_middle_line_refuses(tmp_path):
 
 
 DONE_23 = {"v": 1, "p": 2, "q": 3, "status": "done"}
-ERROR_23 = {"v": 1, "p": 2, "q": 3, "status": "error", "error": "x", "ms": 0}
+ERROR_23 = {"v": 1, "p": 2, "q": 3, "status": "error", "error": "x"}
 
 
 @pytest.mark.parametrize("record", [
@@ -425,14 +419,13 @@ ERROR_23 = {"v": 1, "p": 2, "q": 3, "status": "error", "error": "x", "ms": 0}
     {**DONE_23, "quadruples": [[1, 3, 8]]}, {**DONE_23, "quadruples": [[1, 3, 8, "120"]]},
     {**DONE_23, "triples": [[1, 3]]}, {**DONE_23, "triples": [[1, 3, 5.0]]},
     {**DONE_23, "triples": "abc"}, {**DONE_23, "flags": "x"}, {**DONE_23, "flags": [1]},
-    {**DONE_23, "ms": "7"}, {**DONE_23, "ms": True}, {**DONE_23, "ms": 7.5},
     {**ERROR_23, "quadruples": [[1, 3, 8, 120]]}, {**ERROR_23, "flags": ["x"]},
 ])
 def test_checkpoint_record_without_known_status_refuses(tmp_path, capsys, record):
     # Accepted, a record without "done" or "error" would count {2, 3} as
     # resumed, so a sweep would exit 0 without ever searching it; a p that
     # is no int made report or sweep fail on a TypeError naming no line, and
-    # so did a quadruples or ms of the wrong type, while a string of
+    # so did a quadruples of the wrong type, while a string of
     # quadruples made report and sweep print a notable pair and exit 2.  An
     # error record with a quadruple made sweep print it as notable and exit 2,
     # while report dropped it and exited 1.
@@ -447,6 +440,22 @@ def test_checkpoint_record_without_known_status_refuses(tmp_path, capsys, record
         assert "corrupt checkpoint line 2" in captured.err
         assert "pairs total" not in captured.out and '"pairs"' not in captured.out
         assert ck.read_bytes() == raw
+
+
+def test_checkpoint_record_with_an_older_ms_resumes(tmp_path, capsys):
+    # Records once carried their wall time as "ms".  No reader reads it, so
+    # its type can neither fail later nor fake a result: such a record is a
+    # valid schema-1 record, its pair resumes as done and report exits 0.
+    ck = tmp_path / "older.jsonl"
+    rec = {**record_from_report(search_pair(PrimePair.of(2, 3))), "ms": 12}
+    ck.write_text(json.dumps(rec, sort_keys=True) + "\n", encoding="utf-8")
+    raw = ck.read_bytes()
+    summary = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=3,
+                              workers=1, checkpoint_path=ck))
+    assert summary.pairs_skipped == 1 and summary.pairs_processed == 0
+    assert ck.read_bytes() == raw
+    assert main(["report", "--checkpoint", str(ck)]) == 0
+    assert '"pairs": 1' in capsys.readouterr().out
 
 
 def test_iter_records_streams_one_line_at_a_time(tmp_path):
@@ -600,7 +609,7 @@ def test_cli_sweep_and_report(tmp_path, capsys):
 
 def test_cli_exit_1_on_error_record(tmp_path, capsys):
     ck = tmp_path / "planted.jsonl"
-    ck.write_text(json.dumps(error_record(2, 5, "PrecisionError: planted", 0)) + "\n",
+    ck.write_text(json.dumps(error_record(2, 5, "PrecisionError: planted")) + "\n",
                   encoding="utf-8")
     assert main(["sweep", "--p", "2", "--q-min", "3", "--q-max", "7",
                  "--checkpoint", str(ck)]) == 1
@@ -615,7 +624,7 @@ def test_cli_exit_1_on_error_record(tmp_path, capsys):
 
 def test_sweep_summary_counts_only_own_pairs(tmp_path, capsys):
     ck = tmp_path / "foreign.jsonl"
-    ck.write_text(json.dumps(error_record(2, 97, "PrecisionError: planted", 0)) + "\n",
+    ck.write_text(json.dumps(error_record(2, 97, "PrecisionError: planted")) + "\n",
                   encoding="utf-8")
     summary = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=7,
                               workers=1, checkpoint_path=ck))
@@ -671,7 +680,7 @@ def test_cli_exit_2_when_quadruple_found(monkeypatch, capsys):
                             triple_candidates=report.triple_candidates,
                             triples=report.triples,
                             quad_candidates=report.quad_candidates,
-                            quadruples=fake_quads, wall_ms=report.wall_ms)
+                            quadruples=fake_quads)
 
     monkeypatch.setattr(campaign, "search_pair", doctored)
     monkeypatch.setattr(campaign, "_print_report", lambda r: None)
@@ -722,7 +731,7 @@ def test_sweep_worker_error_isolates(monkeypatch, tmp_path):
 
     real_run = campaign._run_pair
     monkeypatch.setattr(campaign, "_run_pair",
-                        lambda task: error_record(task[0], task[1], "boom", 0)
+                        lambda task: error_record(task[0], task[1], "boom")
                         if task[1] == 5 else real_run(task))
     ck = tmp_path / "err.jsonl"
     spec = SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=11,
@@ -769,5 +778,4 @@ PINNED_RECORDS = [
                          ids=lambda r: f"{r['p']}-{r['q']}")
 def test_record_values_pinned(expected):
     rec = record_from_report(search_pair(PrimePair.of(expected["p"], expected["q"])))
-    del rec["ms"]
     assert rec == expected

@@ -73,6 +73,17 @@ def test_triples_from_pair_examples():
     assert [(t.a, t.b, t.c) for t in got] == [(1, 5, 7)]
     assert got[0].s4 == SUnit(36, 2, 2)
 
+    # bc+1 is kept only inside the a/b caps: 16 = 2^4 needs a_cap >= 4, and
+    # 36 = 2^2 3^2 needs b_cap >= 2.
+    got, tried = triples_from_pair(su(PAIR_23, 4), su(PAIR_23, 6), box(9, 6, 3, 18), PAIR_23)
+    assert got == [] and tried == 1
+    got, _ = triples_from_pair(su(PAIR_23, 4), su(PAIR_23, 6), box(9, 6, 4, 18), PAIR_23)
+    assert [(t.a, t.b, t.c) for t in got] == [(1, 3, 5)]
+    got, _ = triples_from_pair(su(PAIR_23, 6), su(PAIR_23, 8), box(9, 6, 29, 1), PAIR_23)
+    assert got == []
+    got, _ = triples_from_pair(su(PAIR_23, 6), su(PAIR_23, 8), box(9, 6, 29, 2), PAIR_23)
+    assert [(t.a, t.b, t.c) for t in got] == [(1, 5, 7)]
+
     # 10 is only an S-unit over {2, 5}; a = 1 gives (1, 3, 9) whose bc+1 = 28
     # is no S-unit, and a = 3 fails a*a < 3.
     pair25 = PrimePair.of(2, 5)

@@ -75,7 +75,7 @@ def _outside_functions(node: ast.AST):
 def test_multiprocessing_is_not_imported_at_module_level():
     # Only a sweep at workers > 1 forks.  Imported with a module, the package
     # adds about 1 MB to the resident size of every other command, and the
-    # benchmark bounds peak_rss_mb at 10%; campaign imports it in _run_forked.
+    # benchmark bounds peak_rss_mb at 10%; campaign imports it in _run_strides.
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in _outside_functions(ast.parse(path.read_text(encoding="utf-8"))):
