@@ -442,12 +442,14 @@ def test_checkpoint_record_without_known_status_refuses(tmp_path, capsys, record
         assert ck.read_bytes() == raw
 
 
-def test_checkpoint_record_with_an_older_ms_resumes(tmp_path, capsys):
+@pytest.mark.parametrize("ms", [12, "7", True, 7.5], ids=repr)
+def test_checkpoint_record_with_an_older_ms_resumes(tmp_path, capsys, ms):
     # Records once carried their wall time as "ms".  No reader reads it, so
     # its type can neither fail later nor fake a result: such a record is a
     # valid schema-1 record, its pair resumes as done and report exits 0.
+    # The string, bool and float cases were once refused for their type.
     ck = tmp_path / "older.jsonl"
-    rec = {**record_from_report(search_pair(PrimePair.of(2, 3))), "ms": 12}
+    rec = {**record_from_report(search_pair(PrimePair.of(2, 3))), "ms": ms}
     ck.write_text(json.dumps(rec, sort_keys=True) + "\n", encoding="utf-8")
     raw = ck.read_bytes()
     summary = sweep(SweepSpec(mode="fixed-p", p_fixed=2, q_min=3, q_max=3,
