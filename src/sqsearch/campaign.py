@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .arith import PrimePair, is_prime
-from .checkpoint import (SCHEMA_VERSION, Appender, CheckpointError, dec15, error_record,
-                         iter_records, record_from_report)
+from .checkpoint import (Appender, CheckpointError, dec15, error_record, iter_records,
+                         record_from_report, summarize)
 from .search import (
     MAX_ORACLE_HEIGHT,
     PairReport,
@@ -275,13 +275,6 @@ def sweep(spec: SweepSpec, force_restart: bool = False) -> SweepSummary:
 
 # -- CLI ----------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 class _UsageError(Exception):
     """Invalid input found after argument parsing; main exits with EXIT_USAGE."""
 
@@ -355,10 +348,12 @@ def _exit_code(notable: bool, errors: int) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.all_pairs and args.p is not None:  # or the sweep would run other pairs
+        raise _UsageError("--p does not apply to --all-pairs")
     try:  # a --p that is not prime fails in _pair_list, before the checkpoint
         spec = SweepSpec(
             mode="all-pairs" if args.all_pairs else "fixed-p",
-            p_fixed=None if args.all_pairs else args.p,
+            p_fixed=2 if args.p is None else args.p,
             q_min=args.q_min, q_max=args.q_max,
             workers=args.workers,
             checkpoint_path=Path(args.checkpoint) if args.checkpoint else None,
@@ -420,34 +415,22 @@ def _cmd_report(args) -> int:
     if not path.exists():
         raise _UsageError(f"no checkpoint file at {path}")
     records = load_checkpoint(path)
-    done = [r for r in records.values() if r.get("status") == "done"]
-    errors = [r for r in records.values() if r.get("status") == "error"]
-    quads = [(r["p"], r["q"], tuple(w)) for r in done for w in r.get("quadruples", [])]
-    flagged = [(r["p"], r["q"], f) for r in done for f in r.get("flags", [])]
-    agg = {
-        "v": SCHEMA_VERSION,
-        "pairs": len(records),
-        "done": len(done),
-        "error": len(errors),
-        "triples": sum(len(r.get("triples", [])) for r in done),
-        "quadruples": [list(q) for q in quads],
-        "flagged": [list(f) for f in flagged],
-    }
+    agg = summarize(records.values())
     print(f"{'p':>10} {'q':>10} {'status':>7} {'triples':>8} {'quads':>6}")
     for (p, q) in sorted(records):
         r = records[(p, q)]
         print(f"{p:>10} {q:>10} {r['status']:>7} "
               f"{len(r.get('triples', [])):>8} {len(r.get('quadruples', [])):>6}")
-    for p, q, what in quads + flagged:
-        print(f"NOTABLE pair ({p}, {q}): {what}")
+    for p, q, what in agg["quadruples"] + agg["flagged"]:  # a quadruple as `pair` prints it
+        print(f"NOTABLE pair ({p}, {q}): {what if isinstance(what, str) else tuple(what)}")
     print(json.dumps(agg, sort_keys=True))
-    return _exit_code(bool(quads or flagged), len(errors))
+    return _exit_code(bool(agg["quadruples"] or agg["flagged"]), agg["error"])
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sqsearch",
-                     description="Search for S-Diophantine quadruples over {p, q}")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sqsearch", description="Search for S-Diophantine quadruples over {p, q}")
+    sub = parser.add_subparsers(dest="command")
 
     sp = sub.add_parser("pair", help="run the full pipeline for one prime pair")
     sp.add_argument("--p", type=int, required=True)
@@ -457,7 +440,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_pair)
 
     sp = sub.add_parser("sweep", help="sweep a range of prime pairs")
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--p", type=int, default=None, help="the fixed prime (default 2)")
     sp.add_argument("--q-min", type=int, required=True)
     sp.add_argument("--q-max", type=int, required=True)
     sp.add_argument("--all-pairs", action="store_true",
@@ -494,8 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_USAGE

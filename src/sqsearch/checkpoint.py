@@ -1,8 +1,8 @@
 """The checkpoint file: one JSON record per pair and line, appended as pairs
-complete.  This module alone builds, reads, validates and writes records, so
-a sweep's resume and a report cannot read one differently.  A record is a
-function of its pair alone, with no timing in it, so sweeps of one range
-write the same lines, in an order that depends on the workers.
+complete.  This module alone builds, reads, validates, writes and sums up
+records, so a sweep's resume and a report cannot read one differently.  A
+record is a function of its pair alone, with no timing in it, so sweeps of
+one range write the same lines, in an order set by the workers.
 
 A record counts only once its newline is written: the bytes after the last
 newline are a torn tail, which a reader skips with a warning and the append
@@ -28,6 +28,7 @@ __all__ = [
     "record_from_report",
     "error_record",
     "iter_records",
+    "summarize",
     "Appender",
 ]
 
@@ -66,6 +67,11 @@ def record_from_report(report: PairReport) -> dict:
 
 def error_record(p: int, q: int, message: str) -> dict:
     return {"v": SCHEMA_VERSION, "p": p, "q": q, "status": "error", "error": message}
+
+
+def _line(rec: dict) -> bytes:
+    # The one written form of a record: a sweep writes it, a digest hashes it.
+    return (json.dumps(rec, sort_keys=True) + "\n").encode()
 
 
 def _well_formed(rec) -> bool:
@@ -113,6 +119,22 @@ def iter_records(path: Path) -> Iterator[dict]:
             yield rec
 
 
+def summarize(records) -> dict:
+    """What `report` prints of records, one per pair, with "digest": the SHA-256
+    of their lines sorted by (p, q), for a checkpoint from sweep its own lines."""
+    import hashlib  # here, as only report digests: the import costs about 3 ms
+    records = sorted(records, key=lambda r: (r["p"], r["q"]))
+    done = [r for r in records if r["status"] == "done"]
+    digest = hashlib.sha256()
+    for rec in records:  # one line at a time: joined, they add ~30% to report's peak RSS
+        digest.update(_line(rec))
+    return {"v": SCHEMA_VERSION, "pairs": len(records), "done": len(done),
+            "error": len(records) - len(done), "digest": digest.hexdigest(),
+            "triples": sum(len(r.get("triples", [])) for r in done),
+            "quadruples": [[r["p"], r["q"], w] for r in done for w in r.get("quadruples", [])],
+            "flagged": [[r["p"], r["q"], f] for r in done for f in r.get("flags", [])]}
+
+
 class Appender:
     """The one handle that writes a checkpoint.  Binary, as a torn tail can
     end inside a multi-byte sequence; opening cuts the tail that iter_records
@@ -138,7 +160,7 @@ class Appender:
         return 0
 
     def append(self, rec: dict) -> None:
-        self._fh.write((json.dumps(rec, sort_keys=True) + "\n").encode())
+        self._fh.write(_line(rec))
         self._fh.flush()
 
     def close(self) -> None:

@@ -2,8 +2,6 @@
 the measured quantities.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import hashlib
-import json
 import random
 import time
 from fractions import Fraction
@@ -14,6 +12,7 @@ import pytest
 from _orders import lb1_modulus
 from sqsearch.arith import PrimePair, as_s_unit
 from sqsearch.campaign import SweepSpec, load_checkpoint, main, sweep
+from sqsearch.checkpoint import summarize
 from sqsearch.diolog import certified_log, linear_form_gap, scale
 from sqsearch.reduce import exponent_box, initial_bound, reduce_full
 from sqsearch.search import brute_force_oracle, lemma_predicates, search_pair
@@ -264,26 +263,18 @@ def test_criterion_10_campaign_robustness(sweep5, tmp_path):
           "all write the same checkpoint lines")
 
 
-# SHA-256 of each sweep's checkpoint lines, as written, sorted by (p, q):
-# any change to a bound, a delta, a box or a tuple in criteria 5 and 6
-# changes its digest.
+# The digest that `report` prints for each sweep's checkpoint, the SHA-256 of
+# its lines sorted by (p, q): any change to a bound, a delta, a box or a
+# tuple in criteria 5 and 6 changes it.
 PINNED_DIGESTS = {
     "sweep5": "4dc967a29435ce68ce546d382766390aeba5cf93f72c41cf941d1961081d4636",
     "sweep6": "0ffa32ea89a8791f045fd7a2c5dd26f5324486baeedf172d2712f8cb5c5a1bb3",
 }
 
 
-def _digest(path):
-    def pq(line):
-        rec = json.loads(line)
-        return rec["p"], rec["q"]
-    lines = sorted(path.read_bytes().splitlines(keepends=True), key=pq)
-    return hashlib.sha256(b"".join(lines)).hexdigest()
-
-
 def test_sweep_records_match_pinned_digests(sweep5, sweep6):
-    assert _digest(sweep5[0]) == PINNED_DIGESTS["sweep5"]
-    assert _digest(sweep6[0]) == PINNED_DIGESTS["sweep6"]
+    for name, (ck, _, _) in (("sweep5", sweep5), ("sweep6", sweep6)):
+        assert summarize(load_checkpoint(ck).values())["digest"] == PINNED_DIGESTS[name]
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (2, 999999937), (99989, 99991)],

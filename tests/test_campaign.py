@@ -106,6 +106,7 @@ def test_sweep_kill_and_resume(tmp_path):
 
 
 WORKER_RANGE = dict(mode="fixed-p", p_fixed=2, q_min=3, q_max=40)  # 11 pairs
+ALL_PAIRS_RANGE = dict(mode="all-pairs", q_min=3, q_max=60)  # 16 odd primes, 120 pairs
 
 
 @pytest.fixture(scope="module")
@@ -122,18 +123,31 @@ def test_sweep_worker_count_independence(tmp_path, serial_records):
         assert summary.pairs_processed == 11 and summary.errors == 0
         assert load_checkpoint(many) == serial_records, workers
         assert multiprocessing.active_children() == []
+    # Over all pairs, the sorted lines are equal byte for byte.
+    lines = {}
+    for workers in (1, 2, 3):
+        ck = tmp_path / f"a{workers}.jsonl"
+        summary = sweep(SweepSpec(**ALL_PAIRS_RANGE, workers=workers, checkpoint_path=ck))
+        assert summary.pairs_processed == 120 and summary.errors == 0
+        lines[workers] = sorted(ck.read_bytes().splitlines())
+        assert lines[workers] == lines[1], workers
+        assert multiprocessing.active_children() == []
 
 
 def test_sweep_max_pairs_then_resume_on_workers(tmp_path, serial_records):
     # A capped forked leg writes exactly the first pairs of the list; a
-    # forked resume at another worker count completes the serial set.
+    # forked resume at another worker count cuts a torn tail and completes
+    # the serial set, one line per pair.
     ck = tmp_path / "capped.jsonl"
     capped = sweep(SweepSpec(**WORKER_RANGE, workers=3, checkpoint_path=ck, max_pairs=7))
     assert capped.pairs_total == 7 and capped.pairs_processed == 7
     assert sorted(load_checkpoint(ck)) == sorted(serial_records)[:7]
+    with open(ck, "ab") as fh:
+        fh.write(b'{"p": 2, "q": 3')
     resumed = sweep(SweepSpec(**WORKER_RANGE, workers=2, checkpoint_path=ck))
     assert resumed.pairs_skipped == 7 and resumed.pairs_processed == 4
     assert load_checkpoint(ck) == serial_records
+    assert ck.read_bytes().count(b"\n") == 11 and ck.read_bytes().endswith(b"\n")
 
 
 def test_sweep_own_process_runs_the_first_stride(tmp_path, monkeypatch, serial_records):
@@ -386,6 +400,29 @@ def test_report_leaves_checkpoint_byte_identical(tmp_path, capsys):
     assert ck.read_bytes() == raw
 
 
+def test_report_digest_reads_one_record_per_pair(tmp_path, capsys):
+    # The digest hashes what report reads: one record per pair, sorted, so a
+    # duplicated line and a torn tail leave it as it is, while one digit of
+    # one record's b1 changes it.
+    ck = tmp_path / "d.jsonl"
+    sweep(SweepSpec(**WORKER_RANGE, workers=1, checkpoint_path=ck))
+    lines = ck.read_bytes().splitlines(keepends=True)
+
+    def digest() -> str:
+        assert main(["report", "--checkpoint", str(ck)]) == 0
+        return json.loads(capsys.readouterr().out.splitlines()[-1])["digest"]
+
+    clean = digest()
+    ck.write_bytes(b"".join(lines) + lines[3] + b'{"p": 2, "q": 3')
+    assert digest() == clean
+    rec = json.loads(lines[3])
+    assert rec["b1"][-1].isdigit()
+    rec["b1"] = rec["b1"][:-1] + str((int(rec["b1"][-1]) + 1) % 10)
+    lines[3] = (json.dumps(rec, sort_keys=True) + "\n").encode()
+    ck.write_bytes(b"".join(lines))
+    assert digest() != clean
+
+
 def test_sweep_resume_after_unterminated_final_record(tmp_path):
     full = tmp_path / "full.jsonl"
     broken = tmp_path / "broken.jsonl"
@@ -487,6 +524,12 @@ def test_sweep_force_restart(tmp_path):
         sweep(spec)
     summary = sweep(spec, force_restart=True)
     assert summary.pairs_processed == summary.pairs_total
+    # The same through the command line.
+    written = ck.read_bytes()
+    ck.write_text("garbage\n", encoding="utf-8")
+    assert main(["sweep", "--q-min", "3", "--q-max", "10", "--checkpoint", str(ck),
+                 "--force-restart"]) == 0
+    assert ck.read_bytes() == written
 
 
 @pytest.mark.parametrize("force_restart", [False, True])
@@ -565,12 +608,14 @@ def test_cli_oracle_usage_errors(capsys, argv, message):
     (["sweep", "--all-pairs", "--q-min", "3", "--q-max", "4"], "no prime pair"),
     (["sweep", "--all-pairs", "--skip-33", "--q-min", "3", "--q-max", "20"],
      "unrecognized arguments"),
+    (["sweep", "--all-pairs", "--p", "5", "--q-min", "3", "--q-max", "13"], "--p"),
 ])
 def test_cli_inputs_that_would_hide_results(tmp_path, monkeypatch, capsys, argv, message):
     # Accepted, each would exit 0 with output that hides results: an empty
     # report, a sweep short of its last pair, a silently serial run, a sweep
     # over a range with no pair, a script that still asks for the removed
-    # --skip-33 filter and would sweep more pairs than it meant to.
+    # --skip-33 filter and would sweep more pairs than it meant to, a --p
+    # that an all-pairs sweep would ignore.
     monkeypatch.chdir(tmp_path)
     ck = tmp_path / "refused.jsonl"
     if argv[0] == "sweep":
